@@ -16,12 +16,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import (
-    Alphabet,
     Assignment,
     InSituError,
     InSituProgram,
     Mapping,
     NotBijective,
+    component_permutation,
 )
 
 
@@ -174,20 +174,6 @@ def _route(images: list[int], s: int, m: int) -> list[list[int]]:
     return [first] + middle + [last]
 
 
-def _digit_reversal(alphabet: Alphabet) -> list[int]:
-    s = alphabet.s
-    n = alphabet.n
-    rev = []
-    for x in range(alphabet.size):
-        y = 0
-        v = x
-        for _ in range(n):
-            v, d = divmod(v, s)
-            y = y * s + d
-        rev.append(y)
-    return rev
-
-
 def route_bijection_reversed(e: Mapping) -> InSituProgram:
     """Same compiler with the component order mirrored: signature n..1..n.
 
@@ -196,7 +182,7 @@ def route_bijection_reversed(e: Mapping) -> InSituProgram:
     into a program for e with the mirrored signature.
     """
     a = e.alphabet
-    rev = _digit_reversal(a)
+    rev = component_permutation(range(a.n, 0, -1), a).images
     conj = Mapping(a, tuple(rev[e.images[rev[x]]] for x in range(a.size)))
     prog = route_bijection(conj)
     steps = tuple(

@@ -30,7 +30,6 @@ from .core import (
     InSituError,
     InSituProgram,
     Mapping,
-    execute_all,
     regroup as regroup_program,
     reverse_boolean_bijection,
 )
@@ -70,21 +69,18 @@ def _write(path: str | None, text: str) -> None:
 
 
 def _bridge(program: InSituProgram | linmod.LinearProgram) -> InSituProgram:
-    if isinstance(program, linmod.LinearProgram):
-        if program.ring.s ** program.n > _DOT_CAP:
-            raise InSituError(f"index space too large to materialize (cap {_DOT_CAP})")
-        return linmod.to_in_situ(program)
-    return program
+    linear = isinstance(program, linmod.LinearProgram)
+    size = program.ring.s ** program.n if linear else program.alphabet.size
+    if size > _DOT_CAP:
+        raise InSituError(f"index space too large to materialize (cap {_DOT_CAP})")
+    return linmod.to_in_situ(program) if linear else program
 
 
 def _verify_tables(program: InSituProgram, target: Mapping) -> tuple[bool, str]:
-    got = execute_all(program)
-    for x, (a, b) in enumerate(zip(got.images, target.images)):
-        if a != b:
-            return False, f"mismatch_index={x} expected={b} got={a}"
     report = minsim.verify(minsim.routing_of(program), target)
     if not report.performs:
-        return False, "routing does not perform the mapping"
+        x = next(x for x, (a, b) in enumerate(zip(report.images, target.images)) if a != b)
+        return False, f"mismatch_index={x} expected={target.images[x]} got={report.images[x]}"
     lines = [
         "signature=" + ",".join(str(t) for t in program.signature),
         f"length={len(program)}",

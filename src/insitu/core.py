@@ -16,7 +16,7 @@ single vectors without materializing tables.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 _MAX_INDEX_BITS = 64
 
@@ -152,12 +152,22 @@ def assignment_table(assignment: Assignment, alphabet: Alphabet) -> tuple[int, .
     """Dense table of an assignment, materializing a linear payload if needed."""
     if assignment.table is not None:
         return assignment.table
-    coeffs = assignment.coeffs
+    # digit recurrence: extend the table by one more significant component
     s = alphabet.s
-    size = alphabet.size
-    pows = alphabet.powers()
-    live = [(c, pw) for c, pw in zip(coeffs, pows) if c]
-    return tuple(sum(c * (v // pw % s) for c, pw in live) % s for v in range(size))
+    tab = [0]
+    for c in assignment.coeffs:
+        tab = tab * s if c == 0 else [(t + c * d) % s for d in range(s) for t in tab]
+    return tuple(tab)
+
+
+def step_images(tab: Sequence[int], target: int, alphabet: Alphabet) -> list[int]:
+    """Where one step sends every index: component `target` of index v
+    becomes tab[v], the other components stay.  This is the exchange
+    between two stages of the network of a signature; every trace of a
+    program composes these lists."""
+    s = alphabet.s
+    pw = s ** (target - 1)
+    return [v + (tab[v] - v // pw % s) * pw for v in range(alphabet.size)]
 
 
 @dataclass(frozen=True)
@@ -218,13 +228,9 @@ def execute(program: InSituProgram, vector: Sequence[int]) -> tuple[int, ...]:
 def execute_all(program: InSituProgram) -> Mapping:
     """The mapping computed by the program, by running every input index."""
     a = program.alphabet
-    s = a.s
-    size = a.size
-    state = list(range(size))
+    state = range(a.size)
     for asg in program.assignments:
-        table = assignment_table(asg, a)
-        pw = s ** (asg.target - 1)
-        trans = [v + (table[v] - v // pw % s) * pw for v in range(size)]
+        trans = step_images(assignment_table(asg, a), asg.target, a)
         state = [trans[v] for v in state]
     return Mapping(a, tuple(state))
 
@@ -269,11 +275,9 @@ def _compose_steps(first: Assignment, second: Assignment, alphabet: Alphabet) ->
             for j in range(alphabet.n)
         )
         return Assignment(t, coeffs=combined)
-    tab1 = assignment_table(first, alphabet)
     tab2 = assignment_table(second, alphabet)
-    pw = s ** i
-    out = tuple(tab2[v + (tab1[v] - v // pw % s) * pw] for v in range(alphabet.size))
-    return Assignment(t, table=out)
+    trans = step_images(assignment_table(first, alphabet), t, alphabet)
+    return Assignment(t, table=tuple(tab2[w] for w in trans))
 
 
 def reverse_boolean_bijection(program: InSituProgram) -> InSituProgram:
@@ -376,9 +380,7 @@ def regroup(program: InSituProgram, group_size: int) -> InSituProgram:
         if abs(cur - prev) > 1:
             raise SignatureNotGroupable(
                 f"signature jumps from component {prev} to {cur}")
-    regs = a.n // group_size
-    wide = Alphabet(2 ** group_size, regs)
-    size = a.size
+    wide = Alphabet(2 ** group_size, a.n // group_size)
     mask = (1 << group_size) - 1
 
     runs: list[tuple[int, list[Assignment]]] = []
@@ -391,14 +393,7 @@ def regroup(program: InSituProgram, group_size: int) -> InSituProgram:
 
     steps = []
     for reg, chunk in runs:
-        tables = [assignment_table(asg, a) for asg in chunk]
         shift = reg * group_size
-        table = []
-        for v in range(size):
-            w = v
-            for asg, tab in zip(chunk, tables):
-                b = asg.target - 1
-                w += (tab[w] - (w >> b & 1)) << b
-            table.append(w >> shift & mask)
-        steps.append(Assignment(reg + 1, table=tuple(table)))
+        images = execute_all(InSituProgram(a, tuple(chunk))).images
+        steps.append(Assignment(reg + 1, table=tuple(w >> shift & mask for w in images)))
     return InSituProgram(wide, tuple(steps))

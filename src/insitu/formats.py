@@ -69,6 +69,13 @@ def _header(toks: _Tokens) -> Alphabet:
         raise ParseError(str(exc), toks.last_line) from None
 
 
+def _count(toks: _Tokens, what: str) -> int:
+    count = toks.next_int(what)
+    if count < 0:
+        raise ParseError(f"{what} must not be negative, got {count}", toks.last_line)
+    return count
+
+
 def parse_mapping(text: str) -> Mapping:
     toks = _Tokens(text)
     a = _header(toks)
@@ -113,7 +120,7 @@ def parse_program(text: str) -> InSituProgram | LinearProgram:
         raise ParseError(f"unknown program kind {tag!r}", toks.last_line)
     if tag == "program":
         a = _header(toks)
-        count = toks.next_int("assignment count m")
+        count = _count(toks, "assignment count m")
         steps = []
         for k in range(count):
             target = toks.next_int(f"assignment {k + 1} target")
@@ -129,7 +136,7 @@ def parse_program(text: str) -> InSituProgram | LinearProgram:
     if s < 2 or n < 1:
         raise ParseError(f"bad linear program header {s} {n}", toks.last_line)
     ring = ModRing.of(s)
-    count = toks.next_int("factor count m")
+    count = _count(toks, "factor count m")
     factors = []
     for k in range(count):
         row = toks.next_int(f"factor {k + 1} row")

@@ -339,13 +339,14 @@ def to_in_situ(p: LinearProgram) -> InSituProgram:
 
 
 def linear_mapping(m: MatrixMod) -> Mapping:
-    """The index mapping x -> Mx over Alphabet(s, n); desk scale only."""
+    """The index mapping x -> Mx over Alphabet(s, n); desk scale only.
+
+    Component i of the image is the linear form of row i, so the images
+    are the row tables weighted by their place values.
+    """
     a = Alphabet(m.ring.s, m.n)
-    s = m.ring.s
-    pows = a.powers()
-    images = []
-    for x in range(a.size):
-        digits = [x // pw % s for pw in pows]
-        y = m.apply(digits)
-        images.append(sum(d * pw for d, pw in zip(y, pows)))
+    images = [0] * a.size
+    for row, pw in zip(m.entries, a.powers()):
+        tab = assignment_table(Assignment(1, coeffs=row), a)
+        images = [y + d * pw for y, d in zip(images, tab)]
     return Mapping(a, tuple(images))

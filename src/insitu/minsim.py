@@ -8,7 +8,8 @@ vertex picks one outgoing edge per stage, namely the table value.
 
 `verify` drives every input through a routing and reports whether the
 final stage realizes a given mapping, whether the paths stay vertex
-disjoint, and how many collisions each stage has.
+disjoint, how many collisions each stage has, and the final images, so
+one trace serves both the verdict and the first mismatching index.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from .core import (
     InSituProgram,
     Mapping,
     assignment_table,
+    step_images,
     vector_of,
 )
 
@@ -99,6 +101,7 @@ class RoutingReport:
     performs: bool
     vertex_disjoint: bool
     merge_profile: tuple[int, ...]
+    images: tuple[int, ...]
 
 
 def routing_of(program: InSituProgram) -> Routing:
@@ -115,23 +118,21 @@ def verify(routing: Routing, mapping: Mapping) -> RoutingReport:
     performs: the final stage realizes `mapping`.
     vertex_disjoint: no two paths share a vertex at any stage.
     merge_profile: per stage, size minus the number of distinct states.
+    images: the final stage, i.e. the mapping the routing computes.
     """
     a = routing.network.alphabet
     if mapping.alphabet != a:
         raise ValueError("alphabet mismatch")
-    s = a.s
     size = a.size
-    states = list(range(size))
+    states = range(size)
     profile = [0]
-    for t, component in enumerate(routing.network.signature):
-        pw = s ** (component - 1)
-        tab = routing.chosen[t]
-        trans = [v + (tab[v] - v // pw % s) * pw for v in range(size)]
+    for tab, component in zip(routing.chosen, routing.network.signature):
+        trans = step_images(tab, component, a)
         states = [trans[v] for v in states]
         profile.append(size - len(set(states)))
-    performs = all(got == want for got, want in zip(states, mapping.images))
+    images = tuple(states)
     disjoint = all(p == 0 for p in profile)
-    return RoutingReport(performs, disjoint, tuple(profile))
+    return RoutingReport(images == tuple(mapping.images), disjoint, tuple(profile), images)
 
 
 def export_dot(network: Min, routing: Routing | None = None, labels: str = "index") -> str:

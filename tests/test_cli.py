@@ -51,6 +51,18 @@ def test_compile_writes_dot(tmp_path, capsys):
     assert text.count("penwidth=2.0") == 3 * 4
 
 
+def test_compile_dot_caps_table_programs(tmp_path, capsys):
+    # 2^13 points: over the rendering cap, as for linear programs
+    src = write(tmp_path / "id.map", "2 13\n" + " ".join(map(str, range(2 ** 13))) + "\n")
+    dot = tmp_path / "net.dot"
+    out = tmp_path / "p.prog"
+    assert main(["compile", src, "--method", "benes", "--dot", str(dot),
+                 "-o", str(out)]) == EXIT_DOMAIN
+    assert "cap 4096" in capsys.readouterr().err
+    assert not dot.exists()
+    assert not out.exists()
+
+
 def test_compile_each_method(tmp_path, capsys):
     src = write(tmp_path / "in.map", "2 2\n0 0 3 1\n")
     for method in ("general5", "general4-sorted", "general4-flex"):
@@ -84,8 +96,20 @@ def test_verify_detects_mismatch(tmp_path, capsys):
     wrong = write(tmp_path / "wrong.map", "2 2\n0 1 2 3\n")
     prog = tmp_path / "p.prog"
     assert main(["compile", src, "--method", "benes", "-o", str(prog)]) == EXIT_OK
+    capsys.readouterr()
     assert main(["verify", str(prog), wrong]) == EXIT_MISMATCH
-    assert "mismatch_index=0" in capsys.readouterr().out
+    assert capsys.readouterr().out.splitlines() == ["mismatch_index=0 expected=0 got=1"]
+
+
+def test_verify_rejects_negative_counts(tmp_path, capsys):
+    ident = write(tmp_path / "id.map", "2 2\n0 1 2 3\n")
+    prog = write(tmp_path / "neg.prog", "program 2 2 -3\n")
+    assert main(["verify", prog, ident]) == EXIT_USAGE
+    assert "ParseError" in capsys.readouterr().err
+    matrix = write(tmp_path / "id.mat", "5 2\n1 0\n0 1\n")
+    lin = write(tmp_path / "neg.lin", "linear 5 2 -1\n")
+    assert main(["verify", lin, matrix]) == EXIT_USAGE
+    assert "ParseError" in capsys.readouterr().err
 
 
 def test_verify_alphabet_mismatch(tmp_path, capsys):

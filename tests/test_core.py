@@ -4,6 +4,7 @@ from hypothesis import given, strategies as st
 from insitu import (
     Alphabet,
     Assignment,
+    assignment_table,
     InSituProgram,
     Mapping,
     NotBijective,
@@ -225,3 +226,20 @@ def test_regroup_rejections():
 def test_concat_alphabet_mismatch():
     with pytest.raises(ValueError):
         concat(InSituProgram(Alphabet(2, 2), ()), InSituProgram(Alphabet(2, 3), ()))
+
+
+@st.composite
+def coefficient_rows(draw):
+    s = draw(st.integers(2, 16))
+    n = draw(st.integers(1, 4).filter(lambda n: s ** n <= 4096))
+    row = draw(st.lists(st.integers(0, s - 1), min_size=n, max_size=n))
+    return Alphabet(s, n), tuple(row)
+
+
+@given(coefficient_rows())
+def test_assignment_table_of_coefficients(case):
+    # independent reference: evaluate the linear form digit by digit
+    a, row = case
+    want = tuple(sum(c * x for c, x in zip(row, vector_of(v, a))) % a.s
+                 for v in range(a.size))
+    assert assignment_table(Assignment(1, coeffs=row), a) == want

@@ -124,6 +124,18 @@ def test_program_parse_errors():
     assert exc.value.line == 1
 
 
+def test_negative_counts_are_parse_errors():
+    # a negative count used to parse as an empty program
+    with pytest.raises(ParseError) as exc:
+        parse_program("program 2 2 -3\n")
+    assert exc.value.line == 1
+    with pytest.raises(ParseError) as exc:
+        parse_program("linear 5 2\n-1\n")
+    assert exc.value.line == 2
+    assert len(parse_program("program 2 2 0\n")) == 0
+    assert len(parse_program("linear 5 2 0\n")) == 0
+
+
 def test_linear_coefficients_are_reduced():
     p = parse_program("linear 5 2 1\n1 7 -1\n")
     assert p.factors[0].coefficients == (2, 4)

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from insitu import Alphabet, Assignment, InSituProgram, execute, execute_all
+from insitu import Alphabet, Assignment, InSituProgram, execute, execute_all, index_of, vector_of
 from insitu.linmod import (
     AssignmentMatrix,
     DimensionMismatch,
@@ -301,3 +301,13 @@ def test_large_modulus_executes_on_vectors():
     for _ in range(20):
         x = tuple(rng.below(101) for _ in range(8))
         assert execute(prog, x) == m.apply(x)
+
+
+@pytest.mark.parametrize("s,n", [(12, 3), (16, 3), (2, 12), (4, 6)])
+def test_linear_mapping_matches_matrix_action(s, n):
+    # independent reference: MatrixMod.apply on the digit vector of every index
+    m = random_matrix(ModRing.of(s), n, SplitMix64(s * 100 + n))
+    a = Alphabet(s, n)
+    images = linear_mapping(m).images
+    for x in range(a.size):
+        assert images[x] == index_of(m.apply(vector_of(x, a)), a)

@@ -105,6 +105,21 @@ def test_merge_profile_never_recovers_on_mappings():
             assert y >= x
 
 
+def test_verify_images_match_execute_all():
+    # the report's final stage is the mapping the program computes, also
+    # when the target is wrong
+    rng = SplitMix64(47)
+    for a in (Alphabet(2, 3), Alphabet(3, 2)):
+        for _ in range(20):
+            e = random_mapping(a, rng)
+            p = compile_general4_sorted(e)
+            other = random_mapping(a, rng)
+            for target in (e, other):
+                report = verify(routing_of(p), target)
+                assert report.images == execute_all(p).images
+                assert report.performs == (report.images == target.images)
+
+
 def test_verify_alphabet_mismatch():
     a = Alphabet(2, 2)
     p = route_bijection(Mapping.identity(a))
