@@ -1,14 +1,15 @@
 """Compile bijections into in-situ programs of length 2n - 1.
 
 The compiled signature is 1, 2, ..., n, ..., 2, 1, the stage order of a
-Benes rearrangeable network.  The construction is recursive: group the
-inputs and the images by their suffix (components 2..n), build the
-bipartite multigraph with one edge per input joining the two suffix
-classes, and color its edges with s colors so that every color class is
-a perfect matching.  The color of an input becomes its new first
-component; each color then carries an independent bijection of the
-suffix space, handled recursively; a final first-component assignment
-writes the image's first component.
+Benes rearrangeable network; routing sets one level at a time, as in the
+looping algorithm (Waksman; Opferman and Tsao-Wu).  At level k, one edge
+per input joins its position and its target, each with component k
+removed; this s-regular bipartite multigraph has one component per
+subproblem of the level.  Its s-edge-coloring, every color a perfect
+matching, gives step k: each input's color becomes component k of its
+position.  Step 2n - k writes the target's component k at the target with
+that component set to the color, which is the input's target from then
+on.  After n - 1 levels the middle step writes component n.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from .core import (
     Mapping,
     NotBijective,
     component_permutation,
+    step_images,
 )
 
 
@@ -31,10 +33,11 @@ class NotRegular(InSituError):
 
 @dataclass(frozen=True)
 class SuffixGraph:
-    """Bipartite multigraph on s^(n-1) suffix classes per side.
+    """Bipartite multigraph on `order` vertices per side, such as the
+    s^(n-1) suffix classes of an index space.
 
     Edges are (left, right, key) with one edge per input vector; `key`
-    is the input index the edge stands for.
+    is the index the edge stands for.
     """
 
     s: int
@@ -102,32 +105,43 @@ def _euler_two_color(edges, adj_left, adj_right, colors) -> None:
 
 def _matching_colors(edges, s, order, adj_left, colors) -> None:
     # peel off perfect matchings; one exists at every stage because the
-    # uncolored subgraph stays regular on average and satisfies Hall
-    alive = [True] * len(edges)
-
-    def augment(l: int, seen: set[int], match_right: list[int]) -> bool:
-        for eid in adj_left[l]:
-            if not alive[eid]:
-                continue
-            r = edges[eid][1]
-            if r in seen:
-                continue
-            seen.add(r)
-            prev = match_right[r]
-            if prev < 0 or augment(edges[prev][0], seen, match_right):
-                match_right[r] = eid
-                return True
-        return False
-
+    # uncolored subgraph stays regular on average and satisfies Hall.
+    # Kuhn's depth-first search for an augmenting path runs on a stack:
+    # path[d] is the edge tried from the left vertex at depth d, and
+    # seen[r] == root marks the right vertices visited from this root
+    left = [l for l, _, _ in edges]
+    right = [r for _, r, _ in edges]
     for color in range(s):
         match_right = [-1] * order
-        for l in range(order):
-            if not augment(l, set(), match_right):
+        seen = [-1] * order
+        for root in range(order):
+            eid = adj_left[root][0]
+            if match_right[right[eid]] < 0:
+                match_right[right[eid]] = eid
+                continue
+            frames = [iter(adj_left[root])]
+            path = []
+            while frames:
+                for eid in frames[-1]:
+                    if seen[right[eid]] != root:
+                        break
+                else:
+                    frames.pop()
+                    del path[-1:]
+                    continue
+                r = right[eid]
+                seen[r] = root
+                path.append(eid)
+                if match_right[r] < 0:
+                    for eid in path:
+                        match_right[right[eid]] = eid
+                    break
+                frames.append(iter(adj_left[left[match_right[r]]]))
+            else:
                 raise AssertionError("regular bipartite multigraph lost its matching")
-        for r in range(order):
-            eid = match_right[r]
+        for eid in match_right:
             colors[eid] = color
-            alive[eid] = False
+        adj_left = [[eid for eid in adj if colors[eid] < 0] for adj in adj_left]
 
 
 def route_bijection(e: Mapping) -> InSituProgram:
@@ -139,39 +153,32 @@ def route_bijection(e: Mapping) -> InSituProgram:
     if not e.is_bijective():
         raise NotBijective("routing requires a bijection")
     a = e.alphabet
-    tables = _route(list(e.images), a.s, a.n)
-    sig = list(range(1, a.n + 1)) + list(range(a.n - 1, 0, -1))
-    steps = tuple(Assignment(t, table=tuple(tab)) for t, tab in zip(sig, tables))
-    return InSituProgram(a, steps)
-
-
-def _route(images: list[int], s: int, m: int) -> list[list[int]]:
-    if m == 1:
-        return [images]
-    half = s ** (m - 1)
-    size = len(images)
-    graph = SuffixGraph(s, half, tuple((x // s, images[x] // s, x) for x in range(size)))
-    colors = edge_color(graph)
-
-    # per color, the induced bijection of the suffix space
-    subs: list[list[int]] = [[0] * half for _ in range(s)]
-    for x in range(size):
-        subs[colors[x]][x // s] = images[x] // s
-    subprogs = [_route(sub, s, m - 1) for sub in subs]
-
-    first = list(colors)
-    middle = []
-    for j in range(2 * (m - 1) - 1):
-        tab = [0] * size
-        for z in range(half):
-            base = z * s
-            for c in range(s):
-                tab[base + c] = subprogs[c][j][z]
-        middle.append(tab)
-    last = [0] * size
-    for x in range(size):
-        last[colors[x] + s * (images[x] // s)] = images[x] % s
-    return [first] + middle + [last]
+    s = a.s
+    # targets[p]: where the input now at position p must go; it agrees
+    # with p on every component already routed
+    targets = list(e.images)
+    up: list[Assignment] = []
+    down: list[Assignment] = []
+    for k in range(1, a.n):
+        pw = s ** (k - 1)
+        # both ends with component k removed
+        graph = SuffixGraph(s, a.size // s, tuple(
+            (p % pw + p // (pw * s) * pw, t % pw + t // (pw * s) * pw, p)
+            for p, t in enumerate(targets)))
+        colors = edge_color(graph)
+        moved = step_images(colors, k, a)
+        back = [0] * a.size
+        nxt = [0] * a.size
+        for p, t in enumerate(targets):
+            digit = t // pw % s
+            t += (colors[p] - digit) * pw
+            back[t] = digit
+            nxt[moved[p]] = t
+        up.append(Assignment(k, table=colors))
+        down.append(Assignment(k, table=tuple(back)))
+        targets = nxt
+    middle = Assignment(a.n, table=tuple(t // s ** (a.n - 1) for t in targets))
+    return InSituProgram(a, (*up, middle, *reversed(down)))
 
 
 def route_bijection_reversed(e: Mapping) -> InSituProgram:

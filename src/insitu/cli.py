@@ -23,8 +23,7 @@ import argparse
 import os
 import sys
 
-from . import blockseq, factor, linmod, minsim, oracle
-from .benes import route_bijection
+from . import linmod, minsim, oracle
 from .core import (
     Alphabet,
     InSituError,
@@ -108,13 +107,7 @@ def _cmd_compile(args) -> int:
                 print("product=ok (index space too large for exhaustive execution)")
     else:
         mapping = parse_mapping(_read(args.input))
-        compile_fn = {
-            "benes": route_bijection,
-            "general5": factor.compile_general5,
-            "general4-sorted": factor.compile_general4_sorted,
-            "general4-flex": blockseq.compile_general4_flexible,
-        }[args.method]
-        program = compile_fn(mapping)
+        program = oracle.COMPILERS[args.method](mapping)
         out_text = format_program(program)
         if args.verify:
             ok, report = _verify_tables(program, mapping)

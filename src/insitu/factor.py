@@ -28,6 +28,7 @@ from .core import (
     Mapping,
     concat,
     merge_adjacent,
+    step_images,
 )
 
 
@@ -87,27 +88,32 @@ def forward_program(mapping: Mapping) -> InSituProgram:
 
 
 def _sweep_program(alphabet: Alphabet, targets: Sequence[int]) -> InSituProgram:
+    # stage j writes component j of every input's target where the input
+    # stands, then every input moves on through that table
     s = alphabet.s
-    n = alphabet.n
-    size = alphabet.size
-    pows = alphabet.powers()
-    tables = [[v // pw % s for v in range(size)] for pw in pows]
-    written = [bytearray(size) for _ in range(n)]
-    for x in range(size):
-        y = targets[x]
-        cur = x
-        for j in range(n):
-            pw = pows[j]
-            yd = y // pw % s
-            if written[j][cur]:
-                if tables[j][cur] != yd:
-                    raise InSituError("conflicting table entries; precondition violated")
-            else:
-                written[j][cur] = 1
-                tables[j][cur] = yd
-            cur += (yd - cur // pw % s) * pw
-    steps = tuple(Assignment(j + 1, table=tuple(tab)) for j, tab in enumerate(tables))
-    return InSituProgram(alphabet, steps)
+    positions = range(alphabet.size)
+    steps = []
+    for j, pw in enumerate(alphabet.powers(), start=1):
+        tab = _stage_table(alphabet, j, positions, [y // pw % s for y in targets])
+        steps.append(Assignment(j, table=tab))
+        trans = step_images(tab, j, alphabet)
+        positions = [trans[p] for p in positions]
+    return InSituProgram(alphabet, tuple(steps))
+
+
+def _stage_table(alphabet: Alphabet, target: int, positions: Sequence[int],
+                 values: Sequence[int]) -> tuple[int, ...]:
+    """Table of component `target` holding values[i] at positions[i] and
+    the identity elsewhere; two different values at one position raise."""
+    tab = [-1] * alphabet.size
+    for p, v in zip(positions, values):
+        if tab[p] != v:
+            if tab[p] >= 0:
+                raise InSituError("conflicting table entries; precondition violated")
+            tab[p] = v
+    s = alphabet.s
+    pw = s ** (target - 1)
+    return tuple(v if v >= 0 else p // pw % s for p, v in enumerate(tab))
 
 
 def backward_restricted_program(mapping: Mapping, lo: int, hi: int) -> InSituProgram:
@@ -132,29 +138,20 @@ def backward_restricted_program(mapping: Mapping, lo: int, hi: int) -> InSituPro
     completion = [lo + max(bisect_right(ms, t) - 1, 0) for t in range(size)]
     sweep = forward_program(Mapping(a, tuple(completion)))
 
+    # follow the images of the range through the sweep; the inverse of
+    # stage j writes back, where each one lands, the component it had
     s = a.s
-    n = a.n
-    pows = a.powers()
-    tables = [[v // pw % s for v in range(size)] for pw in pows]
-    written = [bytearray(size) for _ in range(n)]
-    for j0, start in enumerate(ms):
-        cur = start
-        for j in range(n):
-            pw = pows[j]
-            old = cur // pw % s
-            new = sweep.assignments[j].table[cur]
-            nxt = cur + (new - old) * pw
-            if written[j][nxt]:
-                if tables[j][nxt] != old:
-                    raise InSituError("conflicting table entries; precondition violated")
-            else:
-                written[j][nxt] = 1
-                tables[j][nxt] = old
-            cur = nxt
-        if cur != lo + j0:
-            raise InSituError("completion sweep did not land on the expected index")
-    steps = tuple(Assignment(j + 1, table=tuple(tables[j])) for j in range(n - 1, -1, -1))
-    return InSituProgram(a, steps)
+    positions = ms
+    steps = []
+    for asg, pw in zip(sweep.assignments, a.powers()):
+        trans = step_images(asg.table, asg.target, a)
+        landed = [trans[p] for p in positions]
+        steps.append(Assignment(asg.target, table=_stage_table(
+            a, asg.target, landed, [p // pw % s for p in positions])))
+        positions = landed
+    if positions != list(range(lo, hi + 1)):
+        raise InSituError("completion sweep did not land on the expected index")
+    return InSituProgram(a, tuple(reversed(steps)))
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,7 @@ from .core import (
     Alphabet,
     Assignment,
     InSituError,
+    InSituProgram,
     Mapping,
     assignment_table,
     step_images,
@@ -144,6 +145,14 @@ _BOUNDS: dict[str, Callable[[int], int]] = {
     "linear": lambda n: 2 * n - 1,
 }
 
+# the table compilers by method name, as `insitu compile` and `insitu suite` take it
+COMPILERS: dict[str, Callable[[Mapping], InSituProgram]] = {
+    "benes": route_bijection,
+    "general5": factor.compile_general5,
+    "general4-sorted": factor.compile_general4_sorted,
+    "general4-flex": blockseq.compile_general4_flexible,
+}
+
 
 def _expected_signature(compiler: str, n: int) -> tuple[int, ...]:
     up = list(range(1, n + 1))
@@ -216,35 +225,22 @@ def exhaustive_suite(
         results = _run(run_linear, inputs, workers)
         return _report(compiler, alphabet, results)
 
-    if compiler == "benes":
-        if sample is None:
-            if _factorial_leq(size, _ENUM_BIJECTIONS_CAP):
-                inputs = [Mapping(alphabet, perm)
-                          for perm in itertools.permutations(range(size))]
-            else:
-                raise ValueError("universe too large; pass a sample size")
+    bijective = compiler == "benes"
+    if sample is None:
+        if bijective and _factorial_leq(size, _ENUM_BIJECTIONS_CAP):
+            inputs = [Mapping(alphabet, perm) for perm in itertools.permutations(range(size))]
+        elif not bijective and size ** size <= _ENUM_MAPPINGS_CAP:
+            inputs = [Mapping(alphabet, images)
+                      for images in itertools.product(range(size), repeat=size)]
         else:
-            rng = SplitMix64(seed)
-            inputs = [random_bijection(alphabet, rng) for _ in range(sample)]
-        compile_fn = route_bijection
+            raise ValueError("universe too large; pass a sample size")
     else:
-        if sample is None:
-            if size ** size <= _ENUM_MAPPINGS_CAP:
-                inputs = [Mapping(alphabet, images)
-                          for images in itertools.product(range(size), repeat=size)]
-            else:
-                raise ValueError("universe too large; pass a sample size")
-        else:
-            rng = SplitMix64(seed)
-            inputs = [random_mapping(alphabet, rng) for _ in range(sample)]
-        compile_fn = {
-            "general5": factor.compile_general5,
-            "general4-sorted": factor.compile_general4_sorted,
-            "general4-flex": blockseq.compile_general4_flexible,
-        }[compiler]
+        rng = SplitMix64(seed)
+        draw = random_bijection if bijective else random_mapping
+        inputs = [draw(alphabet, rng) for _ in range(sample)]
 
     def run_clean(e):
-        program = compile_fn(e)
+        program = COMPILERS[compiler](e)
         fail = _check_mapping_program(compiler, program, e)
         return len(program), (f"mapping {e.images}: {fail}" if fail else None)
 

@@ -1,8 +1,9 @@
 import itertools
+import time
 
 import pytest
 
-from insitu import Alphabet, Mapping, NotBijective, execute_all
+from insitu import Alphabet, Mapping, NotBijective, execute_all, minsim
 from insitu.benes import (
     NotRegular,
     SuffixGraph,
@@ -130,3 +131,14 @@ def test_route_reversed_signature_and_behavior():
             p = route_bijection_reversed(e)
             assert p.signature == want
             assert execute_all(p).images == e.images
+
+
+def test_route_past_recursion_depth():
+    # augmenting paths at these sizes run longer than the recursion limit
+    start = time.perf_counter()
+    for s, n, seed in [(3, 8, 41), (5, 6, 42), (7, 5, 43)]:
+        e = random_bijection(Alphabet(s, n), SplitMix64(seed))
+        report = minsim.verify(minsim.routing_of(route_bijection(e)), e)
+        assert report.performs
+        assert report.vertex_disjoint
+    assert time.perf_counter() - start < 15

@@ -1,8 +1,10 @@
+import os
 import subprocess
 import sys
 
 import pytest
 
+import insitu
 from insitu import Alphabet, Mapping, execute_all
 from insitu.cli import EXIT_DOMAIN, EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, main
 from insitu.formats import format_mapping, format_matrix, parse_mapping, parse_program
@@ -182,6 +184,16 @@ def test_usage_errors(tmp_path, capsys):
     assert main(["compile", missing, "--method", "benes"]) == EXIT_USAGE
 
 
+def test_compile_benes_past_recursion_depth(tmp_path, capsys):
+    # 3^9 points: Kuhn's augmenting paths run longer than the recursion limit
+    src = tmp_path / "in.map"
+    assert main(["random", "bijection", "--s", "3", "--n", "9", "--seed", "1",
+                 "-o", str(src)]) == EXIT_OK
+    assert main(["compile", str(src), "--method", "benes", "--verify",
+                 "-o", str(tmp_path / "p.prog")]) == EXIT_OK
+    assert "performs=true" in capsys.readouterr().out
+
+
 def test_stdout_output(tmp_path, capsys):
     src = write(tmp_path / "in.map", "2 1\n1 0\n")
     assert main(["compile", src, "--method", "benes"]) == EXIT_OK
@@ -191,8 +203,11 @@ def test_stdout_output(tmp_path, capsys):
 
 def test_entry_point_subprocess(tmp_path):
     src = write(tmp_path / "in.map", "2 2\n3 0 1 2\n")
+    # the child must import the same package as this process, installed or not
+    path = [os.path.dirname(os.path.dirname(insitu.__file__)), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
     proc = subprocess.run(
         [sys.executable, "-m", "insitu", "compile", str(src), "--method", "benes"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert proc.stdout.startswith("program 2 2 3\n")
