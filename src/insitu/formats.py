@@ -54,11 +54,6 @@ class _Tokens:
             line, tok = self.items[self.pos]
             raise ParseError(f"trailing content {tok!r}", line)
 
-    def peek(self) -> str | None:
-        if self.pos >= len(self.items):
-            return None
-        return self.items[self.pos][1]
-
 
 def _header(toks: _Tokens) -> Alphabet:
     s = toks.next_int("alphabet size s")
@@ -67,6 +62,16 @@ def _header(toks: _Tokens) -> Alphabet:
         return Alphabet(s, n)
     except (ValueError, OverflowError) as exc:
         raise ParseError(str(exc), toks.last_line) from None
+
+
+def _ring_header(toks: _Tokens) -> tuple[ModRing, int]:
+    s = toks.next_int("modulus s")
+    n = toks.next_int("dimension n")
+    if s < 2:
+        raise ParseError(f"modulus must be at least 2, got {s}", toks.last_line)
+    if n < 1:
+        raise ParseError(f"dimension must be at least 1, got {n}", toks.last_line)
+    return ModRing.of(s), n
 
 
 def _count(toks: _Tokens, what: str) -> int:
@@ -94,15 +99,10 @@ def format_mapping(m: Mapping) -> str:
 
 def parse_matrix(text: str) -> MatrixMod:
     toks = _Tokens(text)
-    s = toks.next_int("modulus s")
-    n = toks.next_int("dimension n")
-    if s < 2:
-        raise ParseError(f"modulus must be at least 2, got {s}", toks.last_line)
-    if n < 1:
-        raise ParseError(f"dimension must be at least 1, got {n}", toks.last_line)
+    ring, n = _ring_header(toks)
     rows = [[toks.next_int(f"entry ({i + 1},{j + 1})") for j in range(n)] for i in range(n)]
     toks.expect_end()
-    return MatrixMod.of(ModRing.of(s), rows)
+    return MatrixMod.of(ring, rows)
 
 
 def format_matrix(m: MatrixMod) -> str:
@@ -131,18 +131,14 @@ def parse_program(text: str) -> InSituProgram | LinearProgram:
             return InSituProgram(a, tuple(steps))
         except ValueError as exc:
             raise ParseError(str(exc), toks.last_line) from None
-    s = toks.next_int("modulus s")
-    n = toks.next_int("dimension n")
-    if s < 2 or n < 1:
-        raise ParseError(f"bad linear program header {s} {n}", toks.last_line)
-    ring = ModRing.of(s)
+    ring, n = _ring_header(toks)
     count = _count(toks, "factor count m")
     factors = []
     for k in range(count):
         row = toks.next_int(f"factor {k + 1} row")
         if not 1 <= row <= n:
             raise ParseError(f"factor {k + 1} row {row} out of range [1, {n}]", toks.last_line)
-        coeffs = tuple(toks.next_int(f"factor {k + 1} coefficient") % s for _ in range(n))
+        coeffs = tuple(toks.next_int(f"factor {k + 1} coefficient") % ring.s for _ in range(n))
         factors.append(AssignmentMatrix(ring, row, coeffs))
     toks.expect_end()
     return LinearProgram(ring, n, tuple(factors))

@@ -11,7 +11,8 @@ Column k is cleared in two moves: an optional row replacement row_k :=
 sum(lambda_j row_j) brings a value of the ideal class gcd(column) * unit
 onto the diagonal (`unit_multipliers` builds lambda with lambda_k = 1, so
 the move is an assignment matrix and is invertible), then the column is
-divided out and the row eliminated.
+divided out and the row eliminated.  Every step needs only gcds and
+inverses mod s; s is never factored, so any modulus works.
 """
 
 from __future__ import annotations
@@ -37,29 +38,15 @@ class DimensionMismatch(InSituError):
 
 @dataclass(frozen=True)
 class ModRing:
-    """The ring Z/sZ with its prime factorization."""
+    """The ring Z/sZ.  Units and inverses come from gcds; s is never factored."""
 
     s: int
-    prime_powers: tuple[tuple[int, int], ...]
 
     @classmethod
     def of(cls, s: int) -> "ModRing":
         if s < 2:
             raise ValueError(f"modulus must be at least 2, got {s}")
-        powers = []
-        rest = s
-        p = 2
-        while p * p <= rest:
-            if rest % p == 0:
-                e = 0
-                while rest % p == 0:
-                    rest //= p
-                    e += 1
-                powers.append((p, e))
-            p += 1
-        if rest > 1:
-            powers.append((rest, 1))
-        return cls(s, tuple(powers))
+        return cls(s)
 
     def is_unit(self, x: int) -> bool:
         return math.gcd(x, self.s) == 1
@@ -166,13 +153,24 @@ def product(factors: Iterable[AssignmentMatrix], ring: ModRing | None = None,
     return MatrixMod(ring, n, tuple(tuple(row) for row in acc))
 
 
+def _coprime_part(m: int, x: int) -> int:
+    """The largest divisor of m coprime to x (1 when x is 0)."""
+    while (g := math.gcd(m, x)) > 1:
+        m //= g
+    return m
+
+
 def unit_multipliers(xs: Sequence[int], i0: int, ring: ModRing) -> tuple[int, ...]:
     """Multipliers lambda with lambda_{i0} = 1 making sum(lambda_i x_i) a
     generator of the ideal of the x_i: gcd(sum mod s, s) = gcd(gcd(x_i), s).
 
     i0 is 1-based.  Tries single terms first (lambda = indicator of i0,
-    then i0 plus one helper), falling back to a Chinese remainder
-    construction with one helper index per prime dividing s.
+    then i0 plus one helper).  Otherwise, with the column divided by its
+    gcd, each other index j in turn owns the part of s made of the primes
+    that divide x_{i0} and every earlier index but not x_j, and lambda_j
+    is the idempotent that is 1 modulo that part and 0 modulo the rest of
+    s.  Each prime of s dividing x_{i0} is owned exactly once, so the sum
+    is a unit modulo every prime of s.  The parts come from gcds alone.
     """
     s = ring.s
     reps = [x % s for x in xs]
@@ -198,27 +196,13 @@ def unit_multipliers(xs: Sequence[int], i0: int, ring: ModRing) -> tuple[int, ..
                 return tuple(lam)
             lam[j] = 0
 
-    # one helper per prime p | s with p | scaled[k]; CRT the helper weights
-    helpers: dict[int, list[int]] = {}
-    for p, e in ring.prime_powers:
-        if scaled[k] % p == 0:
-            for j, v in enumerate(scaled):
-                if v % p:
-                    helpers.setdefault(j, []).append(p ** e)
-                    break
-            else:
-                raise AssertionError("gcd of scaled column must be 1")
-    for j, owned in helpers.items():
-        residue, modulus = 0, 1
-        for p, e in ring.prime_powers:
-            pe = p ** e
-            want = 1 if pe in owned else 0
-            # incremental CRT: residue mod modulus, extend by (want mod pe)
-            inv = pow(modulus % pe, -1, pe)
-            t = (want - residue) * inv % pe
-            residue += modulus * t
-            modulus *= pe
-        lam[j] = residue % s
+    common = scaled[k]  # gcd of x_{i0} and the indices walked so far
+    for j in range(len(reps)):
+        if j != k:
+            owned = _coprime_part(s // _coprime_part(s, common), scaled[j])
+            rest = s // owned
+            lam[j] = rest * pow(rest, -1, owned) % s
+            common = math.gcd(common, scaled[j])
     if not ok(lam):
         raise AssertionError("multiplier construction failed")
     return tuple(lam)

@@ -199,6 +199,8 @@ def exhaustive_suite(
     """
     if compiler not in _BOUNDS:
         raise ValueError(f"unknown compiler {compiler!r}")
+    if sample is not None and sample < 0:
+        raise ValueError(f"sample size must not be negative, got {sample}")
     size = alphabet.size
 
     if compiler == "linear":

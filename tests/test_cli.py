@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -174,6 +175,14 @@ def test_suite_command(tmp_path, capsys):
     assert "failures=0" in out
 
 
+def test_suite_rejects_negative_sample(capsys):
+    # a negative sample used to run nothing and report total=0 with exit 0
+    for method in ("benes", "linear"):
+        assert main(["suite", "--method", method, "--s", "2", "--n", "3",
+                     "--sample", "-5"]) == EXIT_USAGE
+        assert "negative" in capsys.readouterr().err
+
+
 def test_usage_errors(tmp_path, capsys):
     assert main(["compile"]) == EXIT_USAGE
     assert main(["no-such-command"]) == EXIT_USAGE
@@ -211,3 +220,20 @@ def test_entry_point_subprocess(tmp_path):
         capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert proc.stdout.startswith("program 2 2 3\n")
+
+
+def test_linear_at_huge_modulus(tmp_path):
+    # s = 10^18 + 3 has no factor below 10^9; nothing on the linear path
+    # may factor s, so random, compile and verify finish within the budget
+    matrix, program = str(tmp_path / "m.mat"), str(tmp_path / "p.lin")
+    path = [os.path.dirname(os.path.dirname(insitu.__file__)), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+    deadline = time.monotonic() + 5.0
+    for args, expect in (
+            (["random", "matrix", "--s", "1000000000000000003", "--n", "3", "-o", matrix], ""),
+            (["compile", matrix, "--method", "linear", "--verify", "-o", program], "product=ok"),
+            (["verify", program, matrix], "product=ok")):
+        proc = subprocess.run([sys.executable, "-m", "insitu", *args], capture_output=True,
+                              text=True, env=env, timeout=max(deadline - time.monotonic(), 0.1))
+        assert proc.returncode == 0, proc.stderr
+        assert expect in proc.stdout

@@ -63,8 +63,6 @@ def determinant(m):
 
 def test_mod_ring():
     r = ModRing.of(12)
-    assert r.prime_powers == ((2, 2), (3, 1))
-    assert ModRing.of(101).prime_powers == ((101, 1),)
     assert r.is_unit(5) and not r.is_unit(8)
     assert r.inverse(5) == 5
     with pytest.raises(NotInvertible):
@@ -135,6 +133,80 @@ def test_unit_multipliers_crt_fallback():
     lam = unit_multipliers((2, 1), 1, r)
     assert lam[0] == 1
     assert lam == (1, 3)
+
+
+def reference_unit_multipliers(xs, i0, s):
+    """The factoring construction: trial-divide s, then give each prime
+    power p^e with p | x_{i0} to the first index whose entry p does not
+    divide, and build each helper's weight (1 modulo its prime powers, 0
+    modulo the others) by the Chinese remainder theorem.  Returns the
+    multipliers and whether the construction was needed."""
+    prime_powers = []
+    rest = s
+    p = 2
+    while p * p <= rest:
+        if rest % p == 0:
+            e = 0
+            while rest % p == 0:
+                rest //= p
+                e += 1
+            prime_powers.append((p, e))
+        p += 1
+    if rest > 1:
+        prime_powers.append((rest, 1))
+
+    reps = [x % s for x in xs]
+    g = math.gcd(*reps)
+    scaled = [r // g for r in reps]
+    k = i0 - 1
+
+    def ok(lam):
+        return math.gcd(sum(l * x for l, x in zip(lam, scaled)), s) == 1
+
+    lam = [0] * len(reps)
+    lam[k] = 1
+    if ok(lam):
+        return tuple(lam), False
+    for j in range(len(reps)):
+        if j != k:
+            lam[j] = 1
+            if ok(lam):
+                return tuple(lam), False
+            lam[j] = 0
+    helpers = {}
+    for p, e in prime_powers:
+        if scaled[k] % p == 0:
+            j = next(j for j, v in enumerate(scaled) if v % p)
+            helpers.setdefault(j, []).append(p ** e)
+    for j, owned in helpers.items():
+        residue, modulus = 0, 1
+        for p, e in prime_powers:
+            pe = p ** e
+            want = 1 if pe in owned else 0
+            t = (want - residue) * pow(modulus % pe, -1, pe) % pe
+            residue += modulus * t
+            modulus *= pe
+        lam[j] = residue % s
+    return tuple(lam), True
+
+
+@pytest.mark.parametrize("s", [6, 12, 30, 60, 210, 2310, 30030, 720720])
+def test_unit_multipliers_match_factoring_reference(s):
+    # moduli with at least two distinct primes, where the single-term and
+    # one-helper tries often fail and the idempotent construction runs
+    r = ModRing.of(s)
+    rng = SplitMix64(s)
+    constructed = 0
+    for _ in range(400):
+        n = rng.below(4) + 2
+        xs = [rng.below(s) if rng.below(3) else 0 for _ in range(n)]
+        if all(x == 0 for x in xs):
+            continue
+        i0 = rng.below(n) + 1
+        want, needed = reference_unit_multipliers(xs, i0, s)
+        assert unit_multipliers(xs, i0, r) == want, (xs, i0)
+        constructed += needed
+    assert constructed > 0
 
 
 def test_unit_multipliers_postcondition_random():

@@ -9,7 +9,8 @@ from insitu import Alphabet
 from insitu.benes import route_bijection, route_bijection_reversed
 from insitu.blockseq import compile_general4_flexible
 from insitu.factor import compile_general4_sorted, compile_general5
-from insitu.formats import format_program
+from insitu.formats import format_linear_program, format_program
+from insitu.linmod import MatrixMod, ModRing, decompose
 from insitu.rng import SplitMix64, random_bijection, random_mapping
 
 COMPILE = {
@@ -72,4 +73,24 @@ def test_compiled_text_is_pinned(kind, s, n, compiler, digest):
     draw = random_bijection if kind == "bijection" else random_mapping
     e = draw(Alphabet(s, n), SplitMix64(7))
     text = format_program(COMPILE[compiler](e))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+# SHA-256 of format_linear_program output; each matrix is drawn row by row
+# from SplitMix64(3), a seed whose factorization reaches the construction
+# that unit_multipliers falls back on after its single-term and one-helper
+# tries, at every one of these shapes
+LINEAR_PINS = [
+    (6, 3, "41b918639538635804478a58a456c3d6b0701c323891584730eebda00a2bafbe"),
+    (12, 3, "792f98c43b1876c1cffb0077f5a417f046e4fff9524ef4969c0155bceacae7ee"),
+    (30, 4, "ac3a221fc8dc8729bbaa4c91676a7e0b414a7726637eecf123fef9f5a5c958d9"),
+    (210, 3, "121a39b0941d9b4cd05ea2cb33cd2df1c665302779ca7ee8c640581cc6183f10"),
+]
+
+
+@pytest.mark.parametrize("s,n,digest", LINEAR_PINS)
+def test_linear_factors_are_pinned(s, n, digest):
+    rng = SplitMix64(3)
+    m = MatrixMod.of(ModRing.of(s), [[rng.below(s) for _ in range(n)] for _ in range(n)])
+    text = format_linear_program(decompose(m))
     assert hashlib.sha256(text.encode()).hexdigest() == digest
