@@ -14,7 +14,9 @@ general4-sorted (any mapping, 4n-3), general4-flex (boolean mappings,
 
 Exit codes: 0 success, 1 verification mismatch or suite failures,
 2 domain errors (NotBijective, NotInvertible, ...), 3 bad usage or
-unparseable input.  INSITU_THREADS caps suite worker threads.
+unparseable input, 4 internal error (an exception the package does not
+expect, reported as `error: internal: <type>: <message>`).
+INSITU_THREADS caps suite worker threads.
 """
 
 from __future__ import annotations
@@ -48,6 +50,7 @@ EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_DOMAIN = 2
 EXIT_USAGE = 3
+EXIT_INTERNAL = 4
 
 _DOT_CAP = 4096  # largest index space we will render or materialize
 
@@ -270,6 +273,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:  # a bug, not a verdict: keep it off the mismatch code
+        print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -53,7 +53,8 @@ class Alphabet:
             raise ValueError(f"alphabet size must be at least 2, got {self.s}")
         if self.n < 1:
             raise ValueError(f"arity must be at least 1, got {self.n}")
-        if self.s ** self.n > 1 << _MAX_INDEX_BITS:
+        # s >= 2, so n past the bit count overflows; check before s ** n is built
+        if self.n > _MAX_INDEX_BITS or self.s ** self.n > 1 << _MAX_INDEX_BITS:
             raise OverflowError(f"index space {self.s}^{self.n} does not fit in 64 bits")
 
     @property

@@ -15,6 +15,9 @@ report the line number of the first offending token.
 
 from __future__ import annotations
 
+from itertools import accumulate
+from typing import Callable
+
 from .core import Alphabet, Assignment, InSituError, InSituProgram, Mapping
 from .linmod import AssignmentMatrix, LinearProgram, MatrixMod, ModRing
 
@@ -26,33 +29,64 @@ class ParseError(InSituError):
 
 
 class _Tokens:
+    """The whitespace-separated tokens of a text, read front to back.
+
+    `str.split()` breaks at every character `splitlines()` breaks at, so
+    the tokens are those of the lines in order; the line of a token is
+    worked out only when an error names it.
+    """
+
     def __init__(self, text: str) -> None:
-        self.items: list[tuple[int, str]] = []
-        for lineno, line in enumerate(text.splitlines(), start=1):
-            for tok in line.split():
-                self.items.append((lineno, tok))
+        self.text = text
+        self.items = text.split()
         self.pos = 0
-        self.last_line = 1
+
+    def line_of(self, index: int) -> int:
+        totals = accumulate(len(line.split()) for line in self.text.splitlines())
+        return next(lineno for lineno, total in enumerate(totals, start=1) if total > index)
+
+    @property
+    def last_line(self) -> int:
+        """Line of the last token consumed, 1 before the first."""
+        return self.line_of(self.pos - 1) if self.pos else 1
 
     def next_token(self, what: str) -> str:
         if self.pos >= len(self.items):
             raise ParseError(f"unexpected end of input, expected {what}", self.last_line)
-        line, tok = self.items[self.pos]
         self.pos += 1
-        self.last_line = line
-        return tok
+        return self.items[self.pos - 1]
+
+    def ints(self, count: int, what: Callable[[int], str]) -> tuple[int, ...]:
+        """The next `count` tokens as integers; `what(i)` names item i."""
+        start = self.pos
+        chunk = self.items[start:start + count]
+        self.pos = start + len(chunk)
+        try:
+            values = tuple(map(int, chunk))
+        except ValueError:
+            bad = next(i for i, tok in enumerate(chunk) if not _is_int(tok))
+            self.pos = start + bad + 1
+            raise ParseError(f"expected {what(bad)}, got {chunk[bad]!r}", self.last_line) from None
+        if len(values) < count:
+            raise ParseError(f"unexpected end of input, expected {what(len(values))}",
+                             self.last_line)
+        return values
 
     def next_int(self, what: str) -> int:
-        tok = self.next_token(what)
-        try:
-            return int(tok)
-        except ValueError:
-            raise ParseError(f"expected {what}, got {tok!r}", self.last_line) from None
+        return self.ints(1, lambda _: what)[0]
 
     def expect_end(self) -> None:
         if self.pos < len(self.items):
-            line, tok = self.items[self.pos]
-            raise ParseError(f"trailing content {tok!r}", line)
+            tok = self.items[self.pos]
+            raise ParseError(f"trailing content {tok!r}", self.line_of(self.pos))
+
+
+def _is_int(tok: str) -> bool:
+    try:
+        int(tok)
+    except ValueError:
+        return False
+    return True
 
 
 def _header(toks: _Tokens) -> Alphabet:
@@ -84,7 +118,7 @@ def _count(toks: _Tokens, what: str) -> int:
 def parse_mapping(text: str) -> Mapping:
     toks = _Tokens(text)
     a = _header(toks)
-    images = tuple(toks.next_int(f"image {i}") for i in range(a.size))
+    images = toks.ints(a.size, lambda i: f"image {i}")
     toks.expect_end()
     try:
         return Mapping(a, images)
@@ -100,7 +134,7 @@ def format_mapping(m: Mapping) -> str:
 def parse_matrix(text: str) -> MatrixMod:
     toks = _Tokens(text)
     ring, n = _ring_header(toks)
-    rows = [[toks.next_int(f"entry ({i + 1},{j + 1})") for j in range(n)] for i in range(n)]
+    rows = [toks.ints(n, lambda j: f"entry ({i + 1},{j + 1})") for i in range(n)]
     toks.expect_end()
     return MatrixMod.of(ring, rows)
 
@@ -124,7 +158,7 @@ def parse_program(text: str) -> InSituProgram | LinearProgram:
         steps = []
         for k in range(count):
             target = toks.next_int(f"assignment {k + 1} target")
-            table = tuple(toks.next_int(f"assignment {k + 1} value") for _ in range(a.size))
+            table = toks.ints(a.size, lambda _: f"assignment {k + 1} value")
             steps.append(Assignment(target, table=table))
         toks.expect_end()
         try:
@@ -138,7 +172,7 @@ def parse_program(text: str) -> InSituProgram | LinearProgram:
         row = toks.next_int(f"factor {k + 1} row")
         if not 1 <= row <= n:
             raise ParseError(f"factor {k + 1} row {row} out of range [1, {n}]", toks.last_line)
-        coeffs = tuple(toks.next_int(f"factor {k + 1} coefficient") % ring.s for _ in range(n))
+        coeffs = tuple(c % ring.s for c in toks.ints(n, lambda _: f"factor {k + 1} coefficient"))
         factors.append(AssignmentMatrix(ring, row, coeffs))
     toks.expect_end()
     return LinearProgram(ring, n, tuple(factors))
@@ -146,11 +180,14 @@ def parse_program(text: str) -> InSituProgram | LinearProgram:
 
 def format_program(p: InSituProgram) -> str:
     a = p.alphabet
+    if any(asg.table is None for asg in p.assignments):
+        raise ValueError("table payloads only; convert linear programs first")
+    # table values lie in [0, s), and a table has s^n >= s entries, so the
+    # digit names cost no more than one table does
+    names = [str(d) for d in range(a.s)] if p.assignments else []
     lines = [f"program {a.s} {a.n} {len(p.assignments)}"]
     for asg in p.assignments:
-        if asg.table is None:
-            raise ValueError("table payloads only; convert linear programs first")
-        lines.append(f"{asg.target} " + " ".join(str(v) for v in asg.table))
+        lines.append(f"{asg.target} " + " ".join([names[v] for v in asg.table]))
     return "\n".join(lines) + "\n"
 
 

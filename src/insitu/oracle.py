@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from . import blockseq, factor, linmod, minsim
 from .benes import route_bijection
@@ -229,9 +229,9 @@ def exhaustive_suite(
 
     bijective = compiler == "benes"
     if sample is None:
-        if bijective and _factorial_leq(size, _ENUM_BIJECTIONS_CAP):
+        if bijective and _product_leq(range(2, size + 1), _ENUM_BIJECTIONS_CAP):
             inputs = [Mapping(alphabet, perm) for perm in itertools.permutations(range(size))]
-        elif not bijective and size ** size <= _ENUM_MAPPINGS_CAP:
+        elif not bijective and _product_leq(itertools.repeat(size, size), _ENUM_MAPPINGS_CAP):
             inputs = [Mapping(alphabet, images)
                       for images in itertools.product(range(size), repeat=size)]
         else:
@@ -250,10 +250,12 @@ def exhaustive_suite(
     return _report(compiler, alphabet, results)
 
 
-def _factorial_leq(k: int, cap: int) -> bool:
+def _product_leq(factors: Iterable[int], cap: int) -> bool:
+    """Whether the product of factors >= 1 is at most cap, without building
+    a product past cap: a huge universe is refused at once."""
     total = 1
-    for i in range(2, k + 1):
-        total *= i
+    for f in factors:
+        total *= f
         if total > cap:
             return False
     return True

@@ -2,15 +2,22 @@
 
 Uses SplitMix64 (Steele, Lea, Vigna), a tiny fixed-point generator, so a
 seed produces the same mappings, bijections, and matrices on every
-platform and Python version.  Bounded draws use plain modulo reduction;
-the slight bias is irrelevant here, reproducibility is not.
+platform and Python version.  A bounded draw reduces one 64-bit output
+modulo the bound when the bound is at most 2^64 (the slight bias is
+irrelevant here, reproducibility is not).  A larger bound, such as a
+modulus of 10^38, takes enough outputs to cover it plus 64 more bits, so
+every residue can come up and the bias stays below 2^-64.
+
+Random tables are dense, so the generators refuse index spaces of more
+than `DRAW_CAP` points instead of trying to allocate them.
 """
 
 from __future__ import annotations
 
-from .core import Alphabet, Mapping
+from .core import Alphabet, InSituError, Mapping
 
 _MASK = (1 << 64) - 1
+DRAW_CAP = 1 << 20  # most points a random mapping or bijection may have
 
 
 class SplitMix64:
@@ -27,17 +34,30 @@ class SplitMix64:
     def below(self, bound: int) -> int:
         if bound <= 0:
             raise ValueError("bound must be positive")
-        return self.next_u64() % bound
+        if bound <= 1 << 64:
+            return self.next_u64() % bound
+        x = 0
+        for _ in range((bound.bit_length() + 127) // 64):
+            x = x << 64 | self.next_u64()
+        return x % bound
+
+
+def _drawable_size(alphabet: Alphabet) -> int:
+    size = alphabet.size
+    if size > DRAW_CAP:
+        raise InSituError(f"index space {alphabet.s}^{alphabet.n} has {size} points, "
+                          f"over the cap of {DRAW_CAP} for random tables")
+    return size
 
 
 def random_mapping(alphabet: Alphabet, rng: SplitMix64) -> Mapping:
-    size = alphabet.size
+    size = _drawable_size(alphabet)
     return Mapping(alphabet, tuple(rng.below(size) for _ in range(size)))
 
 
 def random_bijection(alphabet: Alphabet, rng: SplitMix64) -> Mapping:
     # Fisher-Yates with draws in a fixed order, so output is seed-determined
-    size = alphabet.size
+    size = _drawable_size(alphabet)
     images = list(range(size))
     for i in range(size - 1, 0, -1):
         j = rng.below(i + 1)

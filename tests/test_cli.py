@@ -1,4 +1,5 @@
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -7,7 +8,8 @@ import pytest
 
 import insitu
 from insitu import Alphabet, Mapping, execute_all
-from insitu.cli import EXIT_DOMAIN, EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, main
+from insitu import oracle
+from insitu.cli import EXIT_DOMAIN, EXIT_INTERNAL, EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, main
 from insitu.formats import format_mapping, format_matrix, parse_mapping, parse_program
 from insitu.linmod import MatrixMod, ModRing
 
@@ -15,6 +17,12 @@ from insitu.linmod import MatrixMod, ModRing
 def write(path, text):
     path.write_text(text, encoding="utf-8")
     return str(path)
+
+
+def _child_env():
+    # the child must import the same package as this process, installed or not
+    path = [os.path.dirname(os.path.dirname(insitu.__file__)), os.environ.get("PYTHONPATH")]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
 
 
 def test_random_is_deterministic(tmp_path, capsys):
@@ -212,12 +220,9 @@ def test_stdout_output(tmp_path, capsys):
 
 def test_entry_point_subprocess(tmp_path):
     src = write(tmp_path / "in.map", "2 2\n3 0 1 2\n")
-    # the child must import the same package as this process, installed or not
-    path = [os.path.dirname(os.path.dirname(insitu.__file__)), os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
     proc = subprocess.run(
         [sys.executable, "-m", "insitu", "compile", str(src), "--method", "benes"],
-        capture_output=True, text=True, env=env)
+        capture_output=True, text=True, env=_child_env())
     assert proc.returncode == 0
     assert proc.stdout.startswith("program 2 2 3\n")
 
@@ -226,8 +231,7 @@ def test_linear_at_huge_modulus(tmp_path):
     # s = 10^18 + 3 has no factor below 10^9; nothing on the linear path
     # may factor s, so random, compile and verify finish within the budget
     matrix, program = str(tmp_path / "m.mat"), str(tmp_path / "p.lin")
-    path = [os.path.dirname(os.path.dirname(insitu.__file__)), os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+    env = _child_env()
     deadline = time.monotonic() + 5.0
     for args, expect in (
             (["random", "matrix", "--s", "1000000000000000003", "--n", "3", "-o", matrix], ""),
@@ -237,3 +241,55 @@ def test_linear_at_huge_modulus(tmp_path):
                               text=True, env=env, timeout=max(deadline - time.monotonic(), 0.1))
         assert proc.returncode == 0, proc.stderr
         assert expect in proc.stdout
+
+
+def _cap_memory():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+_SIZE_CASES = """
+import sys, time
+from insitu.cli import main
+for line in sys.stdin:
+    start = time.monotonic()
+    code = main(line.split())
+    print(code, time.monotonic() - start, file=sys.stderr, flush=True)
+"""
+
+
+def test_oversized_index_spaces_are_refused_before_allocation(tmp_path):
+    # each command would need a table of s^n entries, or s^n or (s^n)^(s^n)
+    # as an integer, before it refused; the child runs with 1 GiB of address
+    # space, so a regression fails here instead of exhausting memory
+    huge = write(tmp_path / "huge.map", "3 100000000000000000000\n0\n")
+    cases = [
+        ("random mapping --s 2 --n 40", EXIT_DOMAIN),
+        ("random bijection --s 2 --n 21", EXIT_DOMAIN),
+        ("random mapping --s 1000 --n 3", EXIT_DOMAIN),
+        ("suite --method general5 --s 2 --n 22", EXIT_USAGE),
+        ("suite --method general4-sorted --s 2 --n 30", EXIT_USAGE),
+        ("suite --method general5 --s 2 --n 40 --sample 1", EXIT_DOMAIN),
+        ("suite --method benes --s 3 --n 30 --sample 2", EXIT_DOMAIN),
+        (f"compile {huge} --method benes", EXIT_USAGE),
+    ]
+    proc = subprocess.run(
+        [sys.executable, "-c", _SIZE_CASES], input="\n".join(argv for argv, _ in cases),
+        capture_output=True, text=True, env=_child_env(), timeout=60,
+        preexec_fn=_cap_memory)
+    results = [line.split() for line in proc.stderr.splitlines() if not line.startswith("error")]
+    assert len(results) == len(cases), proc.stderr
+    for (argv, expect), (code, seconds) in zip(cases, results):
+        assert int(code) == expect, argv
+        assert float(seconds) < 1.0, argv
+
+
+def test_internal_errors_have_their_own_exit_code(tmp_path, capsys, monkeypatch):
+    def broken(mapping):
+        raise AssertionError("routing invariant broken")
+
+    monkeypatch.setitem(oracle.COMPILERS, "benes", broken)
+    src = write(tmp_path / "in.map", "2 1\n1 0\n")
+    assert main(["compile", src, "--method", "benes"]) == EXIT_INTERNAL == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: internal: AssertionError: routing invariant broken\n"

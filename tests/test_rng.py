@@ -1,5 +1,8 @@
-from insitu import Alphabet
-from insitu.rng import SplitMix64, random_bijection, random_mapping
+import pytest
+
+from insitu import Alphabet, InSituError
+from insitu.cli import EXIT_OK, main
+from insitu.rng import DRAW_CAP, SplitMix64, random_bijection, random_mapping
 
 
 def test_known_stream():
@@ -37,3 +40,41 @@ def test_random_mapping_and_bijection():
     assert e.is_bijective()
     assert e == random_bijection(a, SplitMix64(9))
     assert random_bijection(a, SplitMix64(10)) != e
+
+
+def test_below_is_one_draw_up_to_two_to_the_64():
+    # seeded outputs at bounds up to 2^64 stay what one reduced draw gives
+    for bound in (1, 7, 1 << 63, (1 << 64) - 1, 1 << 64):
+        rng, raw = SplitMix64(3), SplitMix64(3)
+        assert [rng.below(bound) for _ in range(20)] == [raw.next_u64() % bound
+                                                         for _ in range(20)]
+
+
+def test_below_covers_bounds_past_two_to_the_64():
+    # one 64-bit draw reduced mod 10^38 never reaches 2^64
+    rng = SplitMix64(1)
+    bound = 10 ** 38
+    draws = [rng.below(bound) for _ in range(200)]
+    assert all(0 <= x < bound for x in draws)
+    assert sum(x >= 1 << 64 for x in draws) > 190
+    # the top third of [0, 3 * 2^64) comes up about a third of the time
+    top = sum(rng.below(3 << 64) >= 2 << 64 for _ in range(3000))
+    assert 850 < top < 1150
+
+
+def test_random_matrix_entries_past_two_to_the_64(capsys):
+    assert main(["random", "matrix", "--s", str(10 ** 38), "--n", "2", "--seed", "1"]) == EXIT_OK
+    entries = [int(tok) for tok in capsys.readouterr().out.split()[2:]]
+    assert len(entries) == 4
+    assert all(0 <= x < 10 ** 38 for x in entries)
+    assert max(entries) >= 1 << 64
+
+
+def test_draws_refuse_index_spaces_over_the_cap():
+    assert DRAW_CAP == 1 << 20
+    for draw in (random_mapping, random_bijection):
+        with pytest.raises(InSituError):
+            draw(Alphabet(2, 21), SplitMix64(0))
+        with pytest.raises(InSituError):
+            draw(Alphabet(3, 40), SplitMix64(0))
+    assert len(random_mapping(Alphabet(2, 10), SplitMix64(0)).images) == 1024
