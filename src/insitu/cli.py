@@ -22,6 +22,7 @@ INSITU_THREADS caps suite worker threads.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -44,7 +45,7 @@ from .formats import (
     parse_matrix,
     parse_program,
 )
-from .rng import SplitMix64, random_bijection, random_mapping
+from .rng import DRAW_CAP, SplitMix64, random_bijection, random_mapping
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -178,6 +179,9 @@ def _cmd_regroup(args) -> int:
 def _cmd_random(args) -> int:
     rng = SplitMix64(args.seed)
     if args.kind == "matrix":
+        if args.n > 0 and args.n * args.n > DRAW_CAP:
+            raise InSituError(f"a {args.n}x{args.n} matrix has {args.n * args.n} entries, "
+                              f"over the cap of {DRAW_CAP} for random draws")
         ring = linmod.ModRing.of(args.s)
         rows = [[rng.below(args.s) for _ in range(args.n)] for _ in range(args.n)]
         _write(args.output, format_matrix(linmod.MatrixMod.of(ring, rows)))
@@ -197,6 +201,7 @@ def _cmd_suite(args) -> int:
     return EXIT_OK if report.ok else EXIT_MISMATCH
 
 
+@functools.cache  # parse_args keeps nothing between calls, so one parser serves them all
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="insitu",
@@ -221,7 +226,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="exact minimal program length by exhaustive search")
     p.add_argument("input", help="mapping file")
     p.add_argument("--max-len", type=int, default=8)
-    p.add_argument("--budget", type=int, default=1_000_000, help="state budget for the search")
+    p.add_argument("--budget", type=int, default=1_000_000,
+                   help="most states the search may store; the last level is tested, not stored")
     p.set_defaults(fn=_cmd_oracle)
 
     p = sub.add_parser("invert", help="invert a linear program or reverse a boolean bijection program")

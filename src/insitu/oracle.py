@@ -11,6 +11,7 @@ network properties of each produced program.
 from __future__ import annotations
 
 import itertools
+import operator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
@@ -40,9 +41,11 @@ class BudgetExceeded(InSituError):
 def full_universe(alphabet: Alphabet) -> list[Assignment]:
     """Every single assignment over the alphabet: all tables, all targets."""
     size = alphabet.size
-    count = alphabet.n * alphabet.s ** size
-    if count > _FULL_UNIVERSE_CAP:
-        raise BudgetExceeded(f"{count} assignments; restrict the universe instead")
+    # n * s^size is refused by bounded products, so s^size is never built
+    if not _product_leq(itertools.chain([alphabet.n], (alphabet.s for _ in range(size))),
+                        _FULL_UNIVERSE_CAP):
+        raise BudgetExceeded(f"{alphabet.n}*{alphabet.s}^{size} assignments, over the cap "
+                             f"of {_FULL_UNIVERSE_CAP}; restrict the universe instead")
     out = []
     for target in range(1, alphabet.n + 1):
         for tab in itertools.product(range(alphabet.s), repeat=size):
@@ -72,32 +75,68 @@ def min_length_bfs(
     program within max_len steps over the universe exists.
 
     The default universe is every possible assignment.  States are the
-    mappings computed so far; the state budget guards against blowup
-    (BudgetExceeded).
+    mappings computed so far, searched breadth first.  Each level is
+    tested before it is expanded: a state is one step from e when it
+    agrees with e on every component but one, i, and the values it holds
+    determine component i of e through some table for i in the universe.
+    So the states of level max_len are never built; the levels below it
+    are stored, and more than max_states stored states raise
+    BudgetExceeded.  A negative max_len or max_states is a ValueError.
     """
+    if max_len < 0 or max_states < 0:
+        raise ValueError(f"max_len and max_states must not be negative, "
+                         f"got {max_len} and {max_states}")
     a = e.alphabet
     if universe is None:
         universe = full_universe(a)
-    trans = [step_images(assignment_table(asg, a), asg.target, a) for asg in universe]
-
     target = tuple(e.images)
     ident = tuple(range(a.size))
     if target == ident:
         return 0
+    tables: dict[int, list[Sequence[int]]] = {}
+    trans = []
+    for asg in universe:
+        tab = assignment_table(asg, a)
+        tables.setdefault(asg.target, []).append(tab)
+        trans.append(step_images(tab, asg.target, a))
+    # for each component i that the universe writes: every index with digit i
+    # zeroed, the target's images so zeroed and their digit i, and i's tables
+    checks = []
+    for i, tabs in tables.items():
+        pw = a.s ** (i - 1)
+        rest = [v - v // pw % a.s * pw for v in range(a.size)]
+        checks.append((rest, tuple(rest[t] for t in target),
+                       [t // pw % a.s for t in target], tabs))
+
+    def one_step(state):
+        pick = operator.itemgetter(*state)  # a tuple, since size >= 2
+        for rest, target_rest, target_digit, tabs in checks:
+            if pick(rest) != target_rest:  # state and target differ off component i
+                continue
+            want: dict[int, int] = {}  # tab[x] that component i of the target needs
+            if any(want.setdefault(x, d) != d for x, d in zip(state, target_digit)):
+                continue
+            if any(all(tab[x] == d for x, d in want.items()) for tab in tabs):
+                return True
+        return False
+
     visited = {ident}
     frontier = [ident]
     for depth in range(1, max_len + 1):
+        if any(map(one_step, frontier)):
+            return depth
+        if depth == max_len:
+            return None
         nxt = []
         for state in frontier:
+            compose = operator.itemgetter(*state)  # a tuple, since size >= 2
             for tr in trans:
-                new = tuple(tr[v] for v in state)
-                if new == target:
-                    return depth
+                new = compose(tr)
                 if new not in visited:
                     visited.add(new)
                     nxt.append(new)
                     if len(visited) > max_states:
-                        raise BudgetExceeded(f"more than {max_states} states explored")
+                        raise BudgetExceeded(f"more than {max_states} states stored")
         if not nxt:
             return None
         frontier = nxt

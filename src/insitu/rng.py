@@ -9,7 +9,9 @@ modulus of 10^38, takes enough outputs to cover it plus 64 more bits, so
 every residue can come up and the bias stays below 2^-64.
 
 Random tables are dense, so the generators refuse index spaces of more
-than `DRAW_CAP` points instead of trying to allocate them.
+than `DRAW_CAP` points instead of trying to allocate them; the command
+line refuses random matrices of more than `DRAW_CAP` entries the same
+way.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 from .core import Alphabet, InSituError, Mapping
 
 _MASK = (1 << 64) - 1
-DRAW_CAP = 1 << 20  # most points a random mapping or bijection may have
+DRAW_CAP = 1 << 20  # most points of a random mapping or bijection, entries of a matrix
 
 
 class SplitMix64:

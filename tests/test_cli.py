@@ -142,6 +142,31 @@ def test_oracle_command(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "not_found"
 
 
+def test_oracle_rejects_negative_limits(tmp_path, capsys):
+    ident = write(tmp_path / "id.map", "2 2\n0 1 2 3\n")
+    for flag in ("--max-len", "--budget"):
+        assert main(["oracle", ident, flag, "-1"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "must not be negative" in captured.err
+
+
+def test_main_calls_do_not_leak_options(tmp_path, capsys):
+    # one parser serves every call in a process; each call starts from defaults
+    src = write(tmp_path / "in.map", "2 2\n1 2 0 3\n")
+    prog = tmp_path / "out.prog"
+    assert main(["compile", src, "--method", "benes", "--verify", "-o", str(prog)]) == EXIT_OK
+    assert "performs=true" in capsys.readouterr().out
+    assert main(["compile", src, "--method", "benes"]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert "performs=" not in out
+    assert out == prog.read_text()
+    assert main(["compile", src]) == EXIT_USAGE
+    capsys.readouterr()
+    assert main(["oracle", src, "--max-len", "5"]) == EXIT_OK
+    assert capsys.readouterr().out == "2\n"
+
+
 def test_invert_boolean_program(tmp_path, capsys):
     src = write(tmp_path / "in.map", "2 2\n2 0 3 1\n")
     prog = tmp_path / "p.prog"
@@ -250,17 +275,29 @@ def _cap_memory():
 _SIZE_CASES = """
 import sys, time
 from insitu.cli import main
+from insitu.core import Alphabet
+from insitu.oracle import BudgetExceeded, full_universe
+
+def universe(s, n):
+    try:
+        full_universe(Alphabet(int(s), int(n)))
+    except BudgetExceeded:
+        return 2
+    return 0
+
 for line in sys.stdin:
     start = time.monotonic()
-    code = main(line.split())
+    argv = line.split()
+    code = universe(*argv[1:]) if argv[0] == "full_universe" else main(argv)
     print(code, time.monotonic() - start, file=sys.stderr, flush=True)
 """
 
 
 def test_oversized_index_spaces_are_refused_before_allocation(tmp_path):
-    # each command would need a table of s^n entries, or s^n or (s^n)^(s^n)
-    # as an integer, before it refused; the child runs with 1 GiB of address
-    # space, so a regression fails here instead of exhausting memory
+    # each case would need a table of s^n entries, N^2 random draws, or s^n,
+    # (s^n)^(s^n) or s^(s^n) as an integer, before it refused; the child runs
+    # with 1 GiB of address space, so a regression fails here instead of
+    # exhausting memory
     huge = write(tmp_path / "huge.map", "3 100000000000000000000\n0\n")
     cases = [
         ("random mapping --s 2 --n 40", EXIT_DOMAIN),
@@ -271,6 +308,8 @@ def test_oversized_index_spaces_are_refused_before_allocation(tmp_path):
         ("suite --method general5 --s 2 --n 40 --sample 1", EXIT_DOMAIN),
         ("suite --method benes --s 3 --n 30 --sample 2", EXIT_DOMAIN),
         (f"compile {huge} --method benes", EXIT_USAGE),
+        ("random matrix --s 2 --n 100000", EXIT_DOMAIN),
+        ("full_universe 2 64", EXIT_DOMAIN),
     ]
     proc = subprocess.run(
         [sys.executable, "-c", _SIZE_CASES], input="\n".join(argv for argv, _ in cases),

@@ -58,6 +58,15 @@ def test_state_budget():
         min_length_bfs(swap, 3, max_states=5)
 
 
+def test_negative_limits_are_refused():
+    ident = Mapping.identity(Alphabet(2, 2))
+    with pytest.raises(ValueError, match="must not be negative"):
+        min_length_bfs(ident, -1)
+    with pytest.raises(ValueError, match="must not be negative"):
+        min_length_bfs(ident, 3, max_states=-1)
+    assert min_length_bfs(ident, 0, max_states=0) == 0
+
+
 def test_unreachable_returns_none():
     # a non-linear mapping is outside the closure of linear assignments
     a = Alphabet(2, 2)

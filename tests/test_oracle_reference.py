@@ -1,0 +1,128 @@
+"""The BFS oracle against a reference that expands every level.
+
+The reference below is how `oracle.min_length_bfs` used to search: it
+builds every level in full, the last one included, and compares each new
+state with the target.  The oracle now tests each level for a state one
+assignment away from the target instead of building the level after it.
+Wherever the reference gives a verdict, the oracle must give the same
+one; the only inputs allowed to differ are those where the reference ran
+out of its state budget on the level the oracle no longer stores.
+"""
+
+import itertools
+
+import pytest
+
+from insitu.core import Alphabet, Mapping, assignment_table, component_permutation, step_images
+from insitu.linmod import MatrixMod, ModRing, linear_mapping
+from insitu.oracle import BudgetExceeded, full_universe, linear_universe, min_length_bfs
+from insitu.rng import SplitMix64, random_bijection, random_mapping
+
+
+def _reference_bfs(e, max_len, universe=None, max_states=1_000_000):
+    a = e.alphabet
+    if universe is None:
+        universe = full_universe(a)
+    trans = [step_images(assignment_table(asg, a), asg.target, a) for asg in universe]
+
+    target = tuple(e.images)
+    ident = tuple(range(a.size))
+    if target == ident:
+        return 0
+    visited = {ident}
+    frontier = [ident]
+    for depth in range(1, max_len + 1):
+        nxt = []
+        for state in frontier:
+            for tr in trans:
+                new = tuple(tr[v] for v in state)
+                if new == target:
+                    return depth
+                if new not in visited:
+                    visited.add(new)
+                    nxt.append(new)
+                    if len(visited) > max_states:
+                        raise BudgetExceeded(f"more than {max_states} states explored")
+        if not nxt:
+            return None
+        frontier = nxt
+    return None
+
+
+def _all_mappings(a):
+    return [Mapping(a, images) for images in itertools.product(range(a.size), repeat=a.size)]
+
+
+def _assert_same_verdicts(inputs, max_len, universe_of):
+    verdicts = []
+    for e in inputs:
+        universe = universe_of(e.alphabet)
+        expected = _reference_bfs(e, max_len, universe=universe)
+        assert min_length_bfs(e, max_len, universe=universe) == expected, e.images
+        verdicts.append(expected)
+    return verdicts
+
+
+def test_all_boolean_mappings_at_n2_full_universe():
+    verdicts = _assert_same_verdicts(_all_mappings(Alphabet(2, 2)), 8, full_universe)
+    # every mapping of 2^2 is reachable, so every verdict is a length
+    assert None not in verdicts
+    assert max(verdicts) == 3
+
+
+def test_all_boolean_mappings_at_n2_linear_universe():
+    verdicts = _assert_same_verdicts(_all_mappings(Alphabet(2, 2)), 6, linear_universe)
+    # the linear maps are 16 of the 256 mappings; the others are unreachable
+    assert len(verdicts) - verdicts.count(None) == 16
+
+
+def test_seeded_mappings_over_linear_universe():
+    # random mappings are almost never linear, so half the inputs are random
+    # matrices, whose mappings the linear universe reaches
+    rng = SplitMix64(23)
+    inputs = []
+    for s, n in ((3, 2), (2, 3)):
+        inputs += [random_mapping(Alphabet(s, n), rng) for _ in range(10)]
+        ring = ModRing.of(s)
+        inputs += [linear_mapping(MatrixMod.of(ring, [[rng.below(s) for _ in range(n)]
+                                                       for _ in range(n)]))
+                   for _ in range(10)]
+    verdicts = _assert_same_verdicts(inputs, 5, linear_universe)
+    assert len(set(verdicts)) >= 4
+
+
+def test_seeded_boolean_mappings_at_n3_full_universe():
+    rng = SplitMix64(29)
+    a = Alphabet(2, 3)
+    inputs = [draw(a, rng) for draw in (random_mapping, random_bijection) for _ in range(4)]
+    _assert_same_verdicts(inputs, 2, full_universe)
+
+
+def _states_within(a, depth):
+    """How many states the full universe reaches in at most depth steps."""
+    trans = [step_images(assignment_table(asg, a), asg.target, a) for asg in full_universe(a)]
+    seen = {tuple(range(a.size))}
+    level = list(seen)
+    for _ in range(depth):
+        nxt = []
+        for state in level:
+            for tr in trans:
+                new = tuple(tr[v] for v in state)
+                if new not in seen:
+                    seen.add(new)
+                    nxt.append(new)
+        level = nxt
+    return len(seen)
+
+
+def test_budget_counts_stored_states():
+    a = Alphabet(2, 2)
+    swap = component_permutation((2, 1), a)
+    budget = _states_within(a, 2)
+    # the reference stores part of level 3 and runs out; the oracle tests
+    # level 2 and stores nothing past it
+    with pytest.raises(BudgetExceeded):
+        _reference_bfs(swap, 3, max_states=budget)
+    assert min_length_bfs(swap, 3, max_states=budget) == 3
+    with pytest.raises(BudgetExceeded):
+        min_length_bfs(swap, 3, max_states=budget - 1)
