@@ -61,31 +61,36 @@ def edge_color(graph: SuffixGraph) -> tuple[int, ...]:
     Returns one color in [0, s) per edge, aligned with graph.edges.
     Deterministic: the same graph always gets the same coloring.
     """
-    s = graph.s
     order = graph.order
-    adj_left: list[list[int]] = [[] for _ in range(order)]
-    adj_right: list[list[int]] = [[] for _ in range(order)]
     for eid, (l, r, _key) in enumerate(graph.edges):
         if not (0 <= l < order and 0 <= r < order):
             raise ValueError(f"edge {eid} endpoint out of range")
+    return _color(graph.s, order, [l for l, _, _ in graph.edges], [r for _, r, _ in graph.edges])
+
+
+def _color(s, order, left, right) -> tuple[int, ...]:
+    # edge eid joins left[eid] and right[eid], both in [0, order)
+    adj_left: list[list[int]] = [[] for _ in range(order)]
+    adj_right: list[list[int]] = [[] for _ in range(order)]
+    for eid, (l, r) in enumerate(zip(left, right)):
         adj_left[l].append(eid)
         adj_right[r].append(eid)
     for v in range(order):
         if len(adj_left[v]) != s or len(adj_right[v]) != s:
             raise NotRegular(
                 f"vertex {v} has degrees {len(adj_left[v])}/{len(adj_right[v])}, need {s}/{s}")
-    colors = [-1] * len(graph.edges)
+    colors = [-1] * len(left)
     if s == 2:
-        _euler_two_color(graph.edges, adj_left, adj_right, colors)
+        _euler_two_color(left, right, adj_left, adj_right, colors)
     else:
-        _matching_colors(graph.edges, s, order, adj_left, colors)
+        _matching_colors(left, right, s, order, adj_left, colors)
     return tuple(colors)
 
 
-def _euler_two_color(edges, adj_left, adj_right, colors) -> None:
+def _euler_two_color(left, right, adj_left, adj_right, colors) -> None:
     # 2-regular bipartite multigraph = disjoint even cycles; alternate
     # colors around each cycle, starting each at its smallest edge id
-    for start in range(len(edges)):
+    for start in range(len(colors)):
         if colors[start] >= 0:
             continue
         cur = start
@@ -93,8 +98,7 @@ def _euler_two_color(edges, adj_left, adj_right, colors) -> None:
         at_right = True
         while True:
             colors[cur] = color
-            l, r, _ = edges[cur]
-            around = adj_right[r] if at_right else adj_left[l]
+            around = adj_right[right[cur]] if at_right else adj_left[left[cur]]
             nxt = around[1] if around[0] == cur else around[0]
             if nxt == start:
                 break
@@ -103,14 +107,12 @@ def _euler_two_color(edges, adj_left, adj_right, colors) -> None:
             at_right = not at_right
 
 
-def _matching_colors(edges, s, order, adj_left, colors) -> None:
+def _matching_colors(left, right, s, order, adj_left, colors) -> None:
     # peel off perfect matchings; one exists at every stage because the
     # uncolored subgraph stays regular on average and satisfies Hall.
     # Kuhn's depth-first search for an augmenting path runs on a stack:
     # path[d] is the edge tried from the left vertex at depth d, and
     # seen[r] == root marks the right vertices visited from this root
-    left = [l for l, _, _ in edges]
-    right = [r for _, r, _ in edges]
     for color in range(s):
         match_right = [-1] * order
         seen = [-1] * order
@@ -161,11 +163,9 @@ def route_bijection(e: Mapping) -> InSituProgram:
     down: list[Assignment] = []
     for k in range(1, a.n):
         pw = s ** (k - 1)
-        # both ends with component k removed
-        graph = SuffixGraph(s, a.size // s, tuple(
-            (p % pw + p // (pw * s) * pw, t % pw + t // (pw * s) * pw, p)
-            for p, t in enumerate(targets)))
-        colors = edge_color(graph)
+        # one edge per position p, both ends with component k removed
+        colors = _color(s, a.size // s, [p % pw + p // (pw * s) * pw for p in range(a.size)],
+                        [t % pw + t // (pw * s) * pw for t in targets])
         moved = step_images(colors, k, a)
         back = [0] * a.size
         nxt = [0] * a.size

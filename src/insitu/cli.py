@@ -76,11 +76,11 @@ def _bridge(program: InSituProgram | linmod.LinearProgram) -> InSituProgram:
     size = program.ring.s ** program.n if linear else program.alphabet.size
     if size > _DOT_CAP:
         raise InSituError(f"index space too large to materialize (cap {_DOT_CAP})")
-    return linmod.to_in_situ(program) if linear else program
+    return linmod.coefficient_program(program) if linear else program
 
 
-def _verify_tables(program: InSituProgram, target: Mapping) -> tuple[bool, str]:
-    report = minsim.verify(minsim.routing_of(program), target)
+def _verify_program(program: InSituProgram, target: Mapping) -> tuple[bool, str]:
+    report = minsim.verify(program, target)
     if not report.performs:
         x = next(x for x, (a, b) in enumerate(zip(report.images, target.images)) if a != b)
         return False, f"mismatch_index={x} expected={target.images[x]} got={report.images[x]}"
@@ -103,7 +103,7 @@ def _cmd_compile(args) -> int:
                 print("error: factor product does not equal the input matrix", file=sys.stderr)
                 return EXIT_MISMATCH
             if matrix.ring.s ** matrix.n <= _DOT_CAP:
-                ok, report = _verify_tables(_bridge(program), linmod.linear_mapping(matrix))
+                ok, report = _verify_program(_bridge(program), linmod.linear_mapping(matrix))
                 print(report)
                 if not ok:
                     return EXIT_MISMATCH
@@ -114,14 +114,14 @@ def _cmd_compile(args) -> int:
         program = oracle.COMPILERS[args.method](mapping)
         out_text = format_program(program)
         if args.verify:
-            ok, report = _verify_tables(program, mapping)
+            ok, report = _verify_program(program, mapping)
             print(report)
             if not ok:
                 return EXIT_MISMATCH
     if args.dot:
-        table_program = _bridge(program)
-        routing = minsim.routing_of(table_program)
-        _write(args.dot, minsim.export_dot(routing.network, routing, labels=args.dot_labels))
+        routing = _bridge(program)
+        network = minsim.min_of(routing.signature, routing.alphabet)
+        _write(args.dot, minsim.export_dot(network, routing, labels=args.dot_labels))
     _write(args.output, out_text)
     return EXIT_OK
 
@@ -137,14 +137,14 @@ def _cmd_verify(args) -> int:
             return EXIT_MISMATCH
         print("product=ok")
         if matrix.ring.s ** matrix.n <= _DOT_CAP:
-            ok, report = _verify_tables(_bridge(program), linmod.linear_mapping(matrix))
+            ok, report = _verify_program(_bridge(program), linmod.linear_mapping(matrix))
             print(report)
             return EXIT_OK if ok else EXIT_MISMATCH
         return EXIT_OK
     mapping = parse_mapping(_read(args.target))
     if program.alphabet != mapping.alphabet:
         raise InSituError("program and mapping disagree on alphabet")
-    ok, report = _verify_tables(program, mapping)
+    ok, report = _verify_program(program, mapping)
     print(report)
     return EXIT_OK if ok else EXIT_MISMATCH
 
@@ -207,7 +207,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="insitu",
         description="Compile mappings into in-situ programs and verify them.")
     sub = parser.add_subparsers(dest="command", required=True)
-    methods = ["benes", "general5", "general4-sorted", "general4-flex", "linear"]
+    methods = [*oracle.COMPILERS, "linear"]
 
     p = sub.add_parser("compile", help="compile a mapping or matrix file")
     p.add_argument("input", help="mapping file, or matrix file for --method linear")

@@ -188,15 +188,11 @@ class InSituProgram:
             if asg.table is not None:
                 if len(asg.table) != a.size:
                     raise ValueError(f"assignment {pos}: table needs {a.size} entries")
-                for v in asg.table:
-                    if not 0 <= v < a.s:
-                        raise ValueError(f"assignment {pos}: table value {v} out of range [0, {a.s})")
+                _check_values(asg.table, a.s, pos, "table value")
             else:
                 if len(asg.coeffs) != a.n:
                     raise ValueError(f"assignment {pos}: coefficient row needs {a.n} entries")
-                for c in asg.coeffs:
-                    if not 0 <= c < a.s:
-                        raise ValueError(f"assignment {pos}: coefficient {c} out of range [0, {a.s})")
+                _check_values(asg.coeffs, a.s, pos, "coefficient")
 
     def __len__(self) -> int:
         return len(self.assignments)
@@ -205,6 +201,22 @@ class InSituProgram:
     def signature(self) -> tuple[int, ...]:
         """The sequence of assigned components."""
         return tuple(asg.target for asg in self.assignments)
+
+
+def _check_values(values: Sequence[int], s: int, pos: int, what: str) -> None:
+    # one sum in C stands in for a type test per entry: a float, Fraction
+    # or Decimal among ints makes the sum one, and a str or None makes it raise
+    try:
+        ints = type(sum(values)) is int
+    except TypeError:
+        ints = False
+    if not ints:
+        for v in values:
+            if not isinstance(v, int):
+                raise ValueError(f"assignment {pos}: {what} {v!r} is not an integer")
+    for v in values:
+        if not 0 <= v < s:
+            raise ValueError(f"assignment {pos}: {what} {v} out of range [0, {s})")
 
 
 def execute(program: InSituProgram, vector: Sequence[int]) -> tuple[int, ...]:

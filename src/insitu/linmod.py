@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .core import Alphabet, Assignment, InSituError, InSituProgram, Mapping, assignment_table
+from .minsim import routing_of
 
 
 class ZeroColumn(InSituError):
@@ -308,18 +309,19 @@ def invert_linear_program(p: LinearProgram) -> LinearProgram:
     return LinearProgram(p.ring, p.n, tuple(out))
 
 
-def to_in_situ(p: LinearProgram) -> InSituProgram:
-    """The same program as table assignments over Alphabet(s, n).
+def coefficient_program(p: LinearProgram) -> InSituProgram:
+    """The same program as coefficient assignments over Alphabet(s, n);
+    it runs on vectors at any scale, and `minsim.verify` traces it."""
+    s = p.ring.s
+    return InSituProgram(Alphabet(s, p.n), tuple(
+        Assignment(fac.row, coeffs=tuple(c % s for c in fac.coefficients)) for fac in p.factors))
 
-    Materializes s^n-entry tables, so this is for desk-scale programs;
-    linear programs themselves execute on vectors at any scale.
-    """
-    a = Alphabet(p.ring.s, p.n)
-    steps = tuple(
-        Assignment(fac.row, coeffs=tuple(c % p.ring.s for c in fac.coefficients))
-        for fac in p.factors)
-    return InSituProgram(a, tuple(
-        Assignment(st.target, table=assignment_table(st, a)) for st in steps))
+
+def to_in_situ(p: LinearProgram) -> InSituProgram:
+    """The same program as table assignments: `minsim.routing_of` of its
+    coefficient program.  Materializes s^n-entry tables, so this is for
+    desk-scale programs."""
+    return routing_of(coefficient_program(p))
 
 
 def linear_mapping(m: MatrixMod) -> Mapping:

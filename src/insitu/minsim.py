@@ -1,15 +1,18 @@
-"""Stage networks for in-situ programs, and routings through them.
+"""Stage networks for in-situ programs, and programs as routings through them.
 
 A network is a signature: stage t is a full copy of the index space, and
 between stages t and t+1 every vertex has s outgoing edges, one per
 value of the component named by signature[t] (all other components keep
 their values).  A program with that signature is exactly a routing: each
-vertex picks one outgoing edge per stage, namely the table value.
+vertex picks one outgoing edge per stage, namely the table value, so a
+program is its own routing and no second type holds one.
 
-`verify` drives every input through a routing and reports whether the
-final stage realizes a given mapping, whether the paths stay vertex
-disjoint, how many collisions each stage has, and the final images, so
-one trace serves both the verdict and the first mismatching index.
+`verify` drives every input through a program, table or coefficient
+steps alike, and reports whether the final stage realizes a given
+mapping, whether the paths stay vertex disjoint, how many collisions
+each stage has, and the final images, so one trace serves both the
+verdict and the first mismatching index.  `routing_of` writes every step
+as a table, and `export_dot` draws a network with a program's edges.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from typing import Sequence
 
 from .core import (
     Alphabet,
+    Assignment,
     BadSignature,
     InSituProgram,
     Mapping,
@@ -77,26 +81,6 @@ def concat(a: Min, b: Min) -> Min:
 
 
 @dataclass(frozen=True)
-class Routing:
-    """One outgoing edge per vertex per stage: chosen[t][v] is the new
-    value of the stage's component."""
-
-    network: Min
-    chosen: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self) -> None:
-        a = self.network.alphabet
-        if len(self.chosen) != len(self.network.signature):
-            raise BadSignature("one choice table per stage required")
-        for t, tab in enumerate(self.chosen):
-            if len(tab) != a.size:
-                raise ValueError(f"stage {t}: choice table needs {a.size} entries")
-            for v in tab:
-                if not 0 <= v < a.s:
-                    raise ValueError(f"stage {t}: choice {v} out of range [0, {a.s})")
-
-
-@dataclass(frozen=True)
 class RoutingReport:
     performs: bool
     vertex_disjoint: bool
@@ -104,30 +88,30 @@ class RoutingReport:
     images: tuple[int, ...]
 
 
-def routing_of(program: InSituProgram) -> Routing:
-    """The routing a program induces on the network of its signature."""
+def routing_of(program: InSituProgram) -> InSituProgram:
+    """The same program with every step as a table: the edge each vertex
+    takes at each stage of the network of its signature."""
     a = program.alphabet
-    net = Min(a, program.signature)
-    chosen = tuple(assignment_table(asg, a) for asg in program.assignments)
-    return Routing(net, chosen)
+    return InSituProgram(a, tuple(
+        Assignment(asg.target, table=assignment_table(asg, a)) for asg in program.assignments))
 
 
-def verify(routing: Routing, mapping: Mapping) -> RoutingReport:
-    """Trace all inputs through the routing.
+def verify(program: InSituProgram, mapping: Mapping) -> RoutingReport:
+    """Trace every input through the routing that a program is.
 
     performs: the final stage realizes `mapping`.
     vertex_disjoint: no two paths share a vertex at any stage.
     merge_profile: per stage, size minus the number of distinct states.
-    images: the final stage, i.e. the mapping the routing computes.
+    images: the final stage, i.e. the mapping the program computes.
     """
-    a = routing.network.alphabet
+    a = program.alphabet
     if mapping.alphabet != a:
         raise ValueError("alphabet mismatch")
     size = a.size
     states = range(size)
     profile = [0]
-    for tab, component in zip(routing.chosen, routing.network.signature):
-        trans = step_images(tab, component, a)
+    for asg in program.assignments:
+        trans = step_images(assignment_table(asg, a), asg.target, a)
         states = [trans[v] for v in states]
         profile.append(size - len(set(states)))
     images = tuple(states)
@@ -135,13 +119,15 @@ def verify(routing: Routing, mapping: Mapping) -> RoutingReport:
     return RoutingReport(images == tuple(mapping.images), disjoint, tuple(profile), images)
 
 
-def export_dot(network: Min, routing: Routing | None = None, labels: str = "index") -> str:
-    """Graphviz DOT text for a network, optionally with a routing bolded.
+def export_dot(network: Min, routing: InSituProgram | None = None, labels: str = "index") -> str:
+    """Graphviz DOT text for a network, optionally with the edges a
+    program takes bolded; the program must have the network's alphabet
+    and signature.
 
     labels="index" numbers vertices; labels="bits" prints digit strings
     most significant component first.  Output is byte-deterministic.
     """
-    if routing is not None and routing.network != network:
+    if routing is not None and Min(routing.alphabet, routing.signature) != network:
         raise ValueError("routing belongs to a different network")
     if labels not in ("index", "bits"):
         raise ValueError(f"unknown label style {labels!r}")
@@ -166,11 +152,12 @@ def export_dot(network: Min, routing: Routing | None = None, labels: str = "inde
         for v in range(size):
             lines.append(f'    "{t}_{v}" [label="{label(v)}"];')
         lines.append("  }")
+    chosen = [] if routing is None else [assignment_table(asg, a) for asg in routing.assignments]
     for t, component in enumerate(network.signature):
         pw = s ** (component - 1)
         for v in range(size):
             base = v - v // pw % s * pw
-            picked = routing.chosen[t][v] if routing is not None else None
+            picked = chosen[t][v] if chosen else None
             for e in range(s):
                 w = base + e * pw
                 if e == picked:

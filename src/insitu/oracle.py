@@ -93,12 +93,10 @@ def min_length_bfs(
     ident = tuple(range(a.size))
     if target == ident:
         return 0
+    steps = [(assignment_table(asg, a), asg.target) for asg in universe]
     tables: dict[int, list[Sequence[int]]] = {}
-    trans = []
-    for asg in universe:
-        tab = assignment_table(asg, a)
-        tables.setdefault(asg.target, []).append(tab)
-        trans.append(step_images(tab, asg.target, a))
+    for tab, i in steps:
+        tables.setdefault(i, []).append(tab)
     # for each component i that the universe writes: every index with digit i
     # zeroed, the target's images so zeroed and their digit i, and i's tables
     checks = []
@@ -122,11 +120,13 @@ def min_length_bfs(
 
     visited = {ident}
     frontier = [ident]
+    trans: list[list[int]] = []  # built when a level is first expanded
     for depth in range(1, max_len + 1):
         if any(map(one_step, frontier)):
             return depth
         if depth == max_len:
             return None
+        trans = trans or [step_images(tab, i, a) for tab, i in steps]
         nxt = []
         for state in frontier:
             compose = operator.itemgetter(*state)  # a tuple, since size >= 2
@@ -176,14 +176,6 @@ class SuiteReport:
         return "\n".join(lines) + "\n"
 
 
-_BOUNDS: dict[str, Callable[[int], int]] = {
-    "benes": lambda n: 2 * n - 1,
-    "general5": lambda n: 5 * n - 4,
-    "general4-sorted": lambda n: 4 * n - 3,
-    "general4-flex": lambda n: 4 * n - 3,
-    "linear": lambda n: 2 * n - 1,
-}
-
 # the table compilers by method name, as `insitu compile` and `insitu suite` take it
 COMPILERS: dict[str, Callable[[Mapping], InSituProgram]] = {
     "benes": route_bijection,
@@ -193,27 +185,25 @@ COMPILERS: dict[str, Callable[[Mapping], InSituProgram]] = {
 }
 
 
-def _expected_signature(compiler: str, n: int) -> tuple[int, ...]:
-    up = list(range(1, n + 1))
-    down = list(range(n - 1, 0, -1))
-    down_full = list(range(n, 0, -1))
-    if compiler in ("benes", "linear"):
-        sig = up + down
-    elif compiler == "general5":
-        sig = up + down + up[1:] + down_full[1:] + up[1:]
-    else:
-        sig = up + down + up[1:] + down[:]
-    return tuple(sig)
+def method_network(method: str, alphabet: Alphabet) -> minsim.Min:
+    """The stage network whose routings a method's programs are, so its
+    signature is theirs and its length their bound: the Benes network
+    (2n - 1 stages) for benes and linear, two of them (4n - 3) for the
+    general4 methods, and a reversed butterfly more (5n - 4) for general5."""
+    benes = minsim.benes_network(alphabet)
+    if method in ("benes", "linear"):
+        return benes
+    if method in ("general4-sorted", "general4-flex"):
+        return minsim.concat(benes, benes)
+    if method == "general5":
+        return minsim.concat(minsim.concat(benes, benes), minsim.reversed_butterfly(alphabet))
+    raise ValueError(f"unknown compiler {method!r}")
 
 
-def _check_mapping_program(compiler, program, e):
-    n = e.alphabet.n
-    bound = _BOUNDS[compiler](n)
-    if len(program) > bound:
-        return f"length {len(program)} exceeds {bound}"
-    if program.signature != _expected_signature(compiler, n):
+def _check_mapping_program(network, compiler, program, e):
+    if program.signature != network.signature:
         return f"signature {program.signature} unexpected"
-    report = minsim.verify(minsim.routing_of(program), e)
+    report = minsim.verify(program, e)
     if not report.performs:
         return "program does not compute the mapping"
     if compiler == "benes" and not report.vertex_disjoint:
@@ -236,8 +226,7 @@ def exhaustive_suite(
     explicit sample is required).  Results are deterministic for a given
     (alphabet, compiler, sample, seed).
     """
-    if compiler not in _BOUNDS:
-        raise ValueError(f"unknown compiler {compiler!r}")
+    network = method_network(compiler, alphabet)
     if sample is not None and sample < 0:
         raise ValueError(f"sample size must not be negative, got {sample}")
     size = alphabet.size
@@ -254,10 +243,7 @@ def exhaustive_suite(
 
         def run_linear(m):
             p = linmod.decompose(m)
-            n = alphabet.n
-            if len(p) > _BOUNDS["linear"](n):
-                return len(p), f"matrix {m.entries}: {len(p)} factors"
-            if p.signature != _expected_signature("linear", n):
+            if p.signature != network.signature:
                 return len(p), f"matrix {m.entries}: signature {p.signature}"
             if p.matrix().entries != m.entries:
                 return len(p), f"matrix {m.entries}: product mismatch"
@@ -282,7 +268,7 @@ def exhaustive_suite(
 
     def run_clean(e):
         program = COMPILERS[compiler](e)
-        fail = _check_mapping_program(compiler, program, e)
+        fail = _check_mapping_program(network, compiler, program, e)
         return len(program), (f"mapping {e.images}: {fail}" if fail else None)
 
     results = _run(run_clean, inputs, workers)

@@ -48,6 +48,13 @@ def test_not_regular():
         edge_color(g)
 
 
+def test_endpoint_out_of_range():
+    # a negative endpoint would index from the end without the check
+    for edges in (((0, 0, 0), (0, 1, 1)), ((0, 0, 0), (-1, 0, 1))):
+        with pytest.raises(ValueError, match="edge 1 endpoint out of range"):
+            edge_color(SuffixGraph(2, 1, edges))
+
+
 def test_coloring_is_deterministic():
     a = Alphabet(2, 4)
     rng = SplitMix64(7)

@@ -1,3 +1,6 @@
+from decimal import Decimal
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -134,6 +137,25 @@ def test_program_validation():
         InSituProgram(a, (Assignment(1),))
     with pytest.raises(ValueError):
         InSituProgram(a, (Assignment(1, table=(0,) * 4, coeffs=(0, 0)),))
+
+
+def test_program_rejects_non_integer_table_values():
+    with pytest.raises(ValueError, match=r"^assignment 0: table value 1\.0 is not an integer$"):
+        InSituProgram(Alphabet(2, 1), (Assignment(1, table=(1.0, 0.5)),))
+    a = Alphabet(2, 2)
+    ok = Assignment(2, table=(0, 1, 1, 0))
+    # each value is in range and compares equal to an int
+    for bad in (1.0, Fraction(1), Decimal(1), "1"):
+        with pytest.raises(ValueError) as err:
+            InSituProgram(a, (ok, Assignment(1, table=(1, 0, bad, 1))))
+        assert str(err.value) == f"assignment 1: table value {bad!r} is not an integer"
+
+
+def test_program_rejects_non_integer_coefficients():
+    with pytest.raises(ValueError, match=r"^assignment 0: coefficient 0\.5 is not an integer$"):
+        InSituProgram(Alphabet(2, 1), (Assignment(1, coeffs=(0.5,)),))
+    with pytest.raises(ValueError, match=r"^assignment 0: coefficient 1\.0 is not an integer$"):
+        InSituProgram(Alphabet(3, 2), (Assignment(2, coeffs=(2, 1.0)),))
 
 
 def test_merge_adjacent_preserves_behavior():

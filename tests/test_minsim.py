@@ -3,9 +3,9 @@ import pytest
 from insitu import Alphabet, BadSignature, Mapping, execute_all
 from insitu.benes import route_bijection
 from insitu.factor import compile_general4_sorted
+from insitu.linmod import MatrixMod, ModRing, coefficient_program, decompose, linear_mapping
 from insitu.minsim import (
     Min,
-    Routing,
     benes_network,
     butterfly,
     concat,
@@ -46,17 +46,6 @@ def test_bad_signature():
         min_of((1, 3), a)
     with pytest.raises(BadSignature):
         min_of((0,), a)
-
-
-def test_routing_validation():
-    a = Alphabet(2, 2)
-    net = min_of((1,), a)
-    with pytest.raises(BadSignature):
-        Routing(net, ())
-    with pytest.raises(ValueError):
-        Routing(net, ((0, 1),))
-    with pytest.raises(ValueError):
-        Routing(net, ((0, 1, 2, 0),))
 
 
 def test_verify_identity():
@@ -120,6 +109,30 @@ def test_verify_images_match_execute_all():
                 assert report.performs == (report.images == target.images)
 
 
+def test_verify_coefficient_program_as_its_tables():
+    # a coefficient program traces as the table program routing_of writes
+    rng = SplitMix64(53)
+    cases = [MatrixMod.of(ModRing.of(12), ((4, 5), (6, 4)))]  # singular mod 12
+    for s, n in ((2, 3), (3, 2), (4, 2), (12, 2), (5, 3)):
+        ring = ModRing.of(s)
+        cases += [MatrixMod.of(ring, [[rng.below(s) for _ in range(n)] for _ in range(n)])
+                  for _ in range(4)]
+    disjoint = []
+    for m in cases:
+        p = coefficient_program(decompose(m))
+        tables = routing_of(p)
+        assert all(asg.table is not None for asg in tables.assignments)
+        assert tables.signature == p.signature
+        for target in (linear_mapping(m), Mapping.identity(p.alphabet)):
+            got, want = verify(p, target), verify(tables, target)
+            assert got.performs == want.performs
+            assert got.vertex_disjoint == want.vertex_disjoint
+            assert got.merge_profile == want.merge_profile
+            assert got.images == want.images == linear_mapping(m).images
+        disjoint.append(got.vertex_disjoint)
+    assert disjoint[0] is False and True in disjoint
+
+
 def test_verify_alphabet_mismatch():
     a = Alphabet(2, 2)
     p = route_bijection(Mapping.identity(a))
@@ -144,7 +157,7 @@ def test_export_dot_routing_bold_edges():
     e = Mapping(a, (1, 0, 3, 2))
     p = route_bijection(e)
     routing = routing_of(p)
-    text = export_dot(routing.network, routing)
+    text = export_dot(benes_network(a), routing)
     # one chosen edge per vertex per stage
     assert text.count("penwidth=2.0") == len(p) * a.size
     report = verify(routing, e)
@@ -167,3 +180,11 @@ def test_export_dot_wide_alphabet_labels():
     with pytest.raises(ValueError):
         export_dot(min_of((1,), Alphabet(2, 2)),
                    routing=routing_of(route_bijection(Mapping.identity(Alphabet(2, 2)))))
+
+
+def test_export_dot_rejects_other_alphabet():
+    # same signature, other alphabet
+    p = route_bijection(Mapping.identity(Alphabet(3, 2)))
+    with pytest.raises(ValueError, match="different network"):
+        export_dot(min_of(p.signature, Alphabet(2, 2)), p)
+    assert export_dot(min_of(p.signature, Alphabet(3, 2)), p).count("penwidth=2.0") == 3 * 9

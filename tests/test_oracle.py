@@ -2,13 +2,15 @@ import itertools
 
 import pytest
 
-from insitu import Alphabet, Mapping, component_permutation, permutation_length_bound
+from insitu import Alphabet, Mapping, component_permutation, oracle, permutation_length_bound
 from insitu.oracle import (
+    COMPILERS,
     BudgetExceeded,
     SuiteReport,
     exhaustive_suite,
     full_universe,
     linear_universe,
+    method_network,
     min_length_bfs,
 )
 
@@ -33,6 +35,37 @@ def test_swap_needs_three_steps():
     assert min_length_bfs(swap, 2) is None
     # the lower bound n - fixed + cycles is met with equality here
     assert permutation_length_bound((2, 1)) == 3
+
+
+def test_transitions_are_built_only_to_expand(monkeypatch):
+    calls = []
+    real = oracle.step_images
+    monkeypatch.setattr(oracle, "step_images", lambda *args: calls.append(args) or real(*args))
+    a = Alphabet(2, 2)
+    assert min_length_bfs(Mapping(a, (1, 0, 3, 2)), 3) == 1  # x_1 := 1 - x_1
+    assert min_length_bfs(component_permutation((2, 1), a), 1) is None
+    assert calls == []
+    # two levels expanded, one transition list per assignment
+    assert min_length_bfs(component_permutation((2, 1), a), 5) == 3
+    assert len(calls) == len(full_universe(a))
+
+
+@pytest.mark.parametrize("s", [2, 3])
+def test_method_networks_have_the_papers_lengths(s):
+    for n in range(1, 9):
+        a = Alphabet(s, n)
+        lengths = {m: len(method_network(m, a).signature) for m in (*COMPILERS, "linear")}
+        assert lengths == {"benes": 2 * n - 1, "general5": 5 * n - 4, "general4-sorted": 4 * n - 3,
+                           "general4-flex": 4 * n - 3, "linear": 2 * n - 1}
+
+
+def test_method_network_signatures():
+    a = Alphabet(2, 3)
+    assert method_network("benes", a).signature == (1, 2, 3, 2, 1)
+    assert method_network("general4-flex", a).signature == (1, 2, 3, 2, 1, 2, 3, 2, 1)
+    assert method_network("general5", a).signature == (1, 2, 3, 2, 1, 2, 3, 2, 1, 2, 3)
+    with pytest.raises(ValueError, match="unknown compiler 'bogus'"):
+        method_network("bogus", a)
 
 
 def test_component_permutations_meet_lower_bound():
