@@ -10,11 +10,20 @@ matching, gives step k: each input's color becomes component k of its
 position.  Step 2n - k writes the target's component k at the target with
 that component set to the color, which is the input's target from then
 on.  After n - 1 levels the middle step writes component n.
+
+Colorings come from Euler partitions (Gabow 1976).  Pairing the edges at
+every vertex of a d-regular graph, d even, closes them into alternating
+cycles; alternate edges around each cycle form two (d/2)-regular halves,
+which split again down to degree 2, whose cycles alternate two colors.
+An odd degree d > 1 first takes one perfect matching, found by Kuhn's
+augmenting-path search, as a color of its own.  So s = 2^k needs no
+matching, and s = 3, 5, 6, 7 need 1, 1, 2, 3 per level.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 
 from .core import (
     Assignment,
@@ -82,68 +91,121 @@ def _color(s, order, left, right) -> tuple[int, ...]:
     colors = [-1] * len(left)
     if s == 2:
         _euler_two_color(left, right, adj_left, adj_right, colors)
-    else:
-        _matching_colors(left, right, s, order, adj_left, colors)
+    elif left:  # with no edges, any s passes the degree check
+        _euler_partition(s, order, left, right, adj_left, colors)
     return tuple(colors)
 
 
 def _euler_two_color(left, right, adj_left, adj_right, colors) -> None:
     # 2-regular bipartite multigraph = disjoint even cycles; alternate
-    # colors around each cycle, starting each at its smallest edge id
+    # colors around each cycle, starting each at its smallest edge id and
+    # leaving it by its right end.  adj_left[v] holds the two edges at v
     for start in range(len(colors)):
         if colors[start] >= 0:
             continue
         cur = start
-        color = 0
-        at_right = True
         while True:
-            colors[cur] = color
-            around = adj_right[right[cur]] if at_right else adj_left[left[cur]]
-            nxt = around[1] if around[0] == cur else around[0]
-            if nxt == start:
+            colors[cur] = 0
+            around = adj_right[right[cur]]
+            cur = around[1] if around[0] == cur else around[0]
+            colors[cur] = 1
+            around = adj_left[left[cur]]
+            cur = around[1] if around[0] == cur else around[0]
+            if cur == start:
                 break
-            cur = nxt
-            color ^= 1
-            at_right = not at_right
 
 
-def _matching_colors(left, right, s, order, adj_left, colors) -> None:
-    # peel off perfect matchings; one exists at every stage because the
-    # uncolored subgraph stays regular on average and satisfies Hall.
-    # Kuhn's depth-first search for an augmenting path runs on a stack:
-    # path[d] is the edge tried from the left vertex at depth d, and
-    # seen[r] == root marks the right vertices visited from this root
-    for color in range(s):
-        match_right = [-1] * order
-        seen = [-1] * order
-        for root in range(order):
-            eid = adj_left[root][0]
-            if match_right[right[eid]] < 0:
-                match_right[right[eid]] = eid
+def _euler_partition(s, order, left, right, adj_left, colors) -> None:
+    # Gabow's Euler partition.  Pairing the edges at every vertex turns a
+    # d-regular graph, d even, into a 2-regular graph on the pairs; its
+    # 2-coloring puts the two edges of every pair in different halves, so
+    # each half is (d/2)-regular.  An odd degree d first gives up one
+    # perfect matching.  A task is a subgraph: its edge ids, their left and
+    # right ends, its degree and its first color
+    tasks = [(range(len(left)), left, right, s, 0)]
+    while tasks:
+        ids, lefts, rights, d, base = tasks.pop()
+        if d % 2:
+            if d != s:  # a subgraph: adj_left came with the whole graph
+                adj_left = [[] for _ in range(order)]
+                for i, l in enumerate(lefts):
+                    adj_left[l].append(i)
+            rest = [True] * len(ids)
+            for i in _perfect_matching(lefts, rights, order, adj_left):
+                colors[ids[i]] = base
+                rest[i] = False
+            if d == 1:
                 continue
-            frames = [iter(adj_left[root])]
-            path = []
-            while frames:
-                for eid in frames[-1]:
-                    if seen[right[eid]] != root:
-                        break
-                else:
-                    frames.pop()
-                    del path[-1:]
-                    continue
-                r = right[eid]
-                seen[r] = root
-                path.append(eid)
-                if match_right[r] < 0:
-                    for eid in path:
-                        match_right[right[eid]] = eid
+            d -= 1
+            base += 1
+            ids = list(compress(ids, rest))
+            lefts = list(compress(lefts, rest))
+            rights = list(compress(rights, rest))
+        at_left, pairs_left = _pairs(lefts, order)
+        at_right, pairs_right = _pairs(rights, order)
+        side = [-1] * len(ids)
+        _euler_two_color(at_left, at_right, pairs_left, pairs_right, side)
+        if d == 2:
+            for eid, c in zip(ids, side):
+                colors[eid] = base + c
+            continue
+        d //= 2
+        for keep, first in ((side, base + d), (list(map((1).__xor__, side)), base)):
+            tasks.append((list(compress(ids, keep)), list(compress(lefts, keep)),
+                          list(compress(rights, keep)), d, first))
+
+
+def _pairs(ends, order):
+    # pair the edges at every vertex in id order; pair at[eid] of eid is a
+    # vertex of degree 2 in the graph that splits each vertex into pairs
+    at = [0] * len(ends)
+    pairs = []
+    waiting = [-1] * order
+    for eid, v in enumerate(ends):
+        other = waiting[v]
+        if other < 0:
+            waiting[v] = eid
+        else:
+            waiting[v] = -1
+            at[other] = at[eid] = len(pairs)
+            pairs.append((other, eid))
+    return at, pairs
+
+
+def _perfect_matching(left, right, order, adj_left) -> list[int]:
+    # one edge per right vertex; a regular bipartite multigraph has a
+    # perfect matching (Hall).  Kuhn's depth-first search for an
+    # augmenting path runs on a stack: path[d] is the edge tried from the
+    # left vertex at depth d, and seen[r] == root marks the right
+    # vertices visited from this root
+    match_right = [-1] * order
+    seen = [-1] * order
+    for root in range(order):
+        eid = adj_left[root][0]
+        if match_right[right[eid]] < 0:
+            match_right[right[eid]] = eid
+            continue
+        frames = [iter(adj_left[root])]
+        path = []
+        while frames:
+            for eid in frames[-1]:
+                if seen[right[eid]] != root:
                     break
-                frames.append(iter(adj_left[left[match_right[r]]]))
             else:
-                raise AssertionError("regular bipartite multigraph lost its matching")
-        for eid in match_right:
-            colors[eid] = color
-        adj_left = [[eid for eid in adj if colors[eid] < 0] for adj in adj_left]
+                frames.pop()
+                del path[-1:]
+                continue
+            r = right[eid]
+            seen[r] = root
+            path.append(eid)
+            if match_right[r] < 0:
+                for eid in path:
+                    match_right[right[eid]] = eid
+                break
+            frames.append(iter(adj_left[left[match_right[r]]]))
+        else:
+            raise AssertionError("regular bipartite multigraph lost its matching")
+    return match_right
 
 
 def route_bijection(e: Mapping) -> InSituProgram:

@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from insitu import Alphabet, Mapping, NotBijective, execute_all, minsim
+from insitu import Alphabet, Mapping, NotBijective, benes, execute_all, minsim
 from insitu.benes import (
     NotRegular,
     SuffixGraph,
@@ -31,6 +31,14 @@ def assert_proper_coloring(graph, colors):
         assert sorted(per_right[v]) == list(range(graph.s))
 
 
+def _shuffled(items, rng):
+    items = list(items)
+    for i in range(len(items) - 1, 0, -1):
+        j = rng.below(i + 1)
+        items[i], items[j] = items[j], items[i]
+    return items
+
+
 def test_four_cycle_alternates():
     g = SuffixGraph(2, 2, ((0, 0, 0), (0, 1, 1), (1, 1, 2), (1, 0, 3)))
     assert edge_color(g) == (0, 1, 0, 1)
@@ -42,10 +50,15 @@ def test_parallel_edges():
 
 
 def test_not_regular():
-    # right vertex 1 has degree 3, right vertex 0 only 1
-    g = SuffixGraph(2, 2, ((0, 0, 0), (0, 1, 1), (1, 1, 2), (1, 1, 3)))
-    with pytest.raises(NotRegular):
-        edge_color(g)
+    # s = 2: right vertex 1 has degree 3, right vertex 0 only 1
+    two = ((0, 0, 0), (0, 1, 1), (1, 1, 2), (1, 1, 3))
+    # s = 3: right vertex 0 has degree 4, right vertex 1 only 2
+    three = ((0, 0, 0), (0, 0, 1), (0, 1, 2), (1, 0, 3), (1, 0, 4), (1, 1, 5))
+    # s = 4: left vertex 0 has degree 5, left vertex 1 only 3
+    four = tuple((0 if i < 5 else 1, i % 2, i) for i in range(8))
+    for s, edges in [(2, two), (3, three), (4, four)]:
+        with pytest.raises(NotRegular):
+            edge_color(SuffixGraph(s, 2, edges))
 
 
 def test_endpoint_out_of_range():
@@ -55,21 +68,59 @@ def test_endpoint_out_of_range():
             edge_color(SuffixGraph(2, 1, edges))
 
 
+def test_coloring_without_edges():
+    # with no edges every degree check passes, whatever s is
+    for s, order in [(0, 3), (3, 0), (4, 0), (-1, 0)]:
+        assert edge_color(SuffixGraph(s, order, ())) == ()
+
+
 def test_coloring_is_deterministic():
-    a = Alphabet(2, 4)
-    rng = SplitMix64(7)
-    e = random_bijection(a, rng)
-    g = suffix_graph(e)
-    assert edge_color(g) == edge_color(g)
+    for s, n in [(2, 4), (3, 3), (4, 3), (6, 3)]:
+        e = random_bijection(Alphabet(s, n), SplitMix64(7))
+        g = suffix_graph(e)
+        assert edge_color(g) == edge_color(g)
 
 
-@pytest.mark.parametrize("s,n,seed", [(2, 3, 1), (2, 4, 2), (3, 2, 3), (3, 3, 4), (4, 2, 5)])
+@pytest.mark.parametrize("s,n,seed", [(2, 3, 1), (2, 4, 2), (3, 2, 3), (3, 3, 4), (4, 2, 5),
+                                      (5, 3, 6), (6, 3, 7), (7, 3, 8), (8, 3, 9), (16, 2, 10)])
 def test_coloring_random_graphs(s, n, seed):
     rng = SplitMix64(seed)
     a = Alphabet(s, n)
     for _ in range(20):
         g = suffix_graph(random_bijection(a, rng))
         assert_proper_coloring(g, edge_color(g))
+
+
+@pytest.mark.parametrize("s", [1, 2, 3, 4, 5, 6, 7, 8, 16])
+def test_coloring_unions_of_matchings(s):
+    # s random perfect matchings, edges shuffled: parallel edges, and at
+    # small orders several components
+    rng = SplitMix64(100 + s)
+    for order in (1, 2, 3, 5, 12, 40):
+        edges = [(v, p, 0) for _ in range(s) for v, p in enumerate(_shuffled(range(order), rng))]
+        edges = [(l, r, key) for key, (l, r, _) in enumerate(_shuffled(edges, rng))]
+        g = SuffixGraph(s, order, tuple(edges))
+        assert_proper_coloring(g, edge_color(g))
+
+
+@pytest.mark.parametrize("s,calls", [(2, 0), (4, 0), (8, 0), (16, 0), (3, 1), (5, 1), (6, 2), (7, 3)])
+def test_matchings_per_level_graph(monkeypatch, s, calls):
+    # even degrees split by Euler partitions; only odd ones need a matching
+    seen = []
+    matcher = benes._perfect_matching
+
+    def counted(*args):
+        seen.append(args)
+        return matcher(*args)
+
+    monkeypatch.setattr(benes, "_perfect_matching", counted)
+    e = random_bijection(Alphabet(s, 3), SplitMix64(s))
+    g = suffix_graph(e)
+    assert_proper_coloring(g, edge_color(g))
+    assert len(seen) == calls
+    seen.clear()
+    route_bijection(e)  # two level graphs
+    assert len(seen) == 2 * calls
 
 
 def test_suffix_graph_needs_arity_two():
@@ -141,9 +192,10 @@ def test_route_reversed_signature_and_behavior():
 
 
 def test_route_past_recursion_depth():
-    # augmenting paths at these sizes run longer than the recursion limit
+    # augmenting paths at the odd sizes run longer than the recursion
+    # limit; 4^7 and 16^3 are colored by Euler partitions alone
     start = time.perf_counter()
-    for s, n, seed in [(3, 8, 41), (5, 6, 42), (7, 5, 43)]:
+    for s, n, seed in [(3, 8, 41), (5, 6, 42), (7, 5, 43), (4, 7, 44), (16, 3, 45)]:
         e = random_bijection(Alphabet(s, n), SplitMix64(seed))
         report = minsim.verify(minsim.routing_of(route_bijection(e)), e)
         assert report.performs

@@ -5,8 +5,8 @@ import hashlib
 
 import pytest
 
-from insitu import Alphabet
-from insitu.benes import route_bijection, route_bijection_reversed
+from insitu import Alphabet, minsim, oracle
+from insitu.benes import edge_color, route_bijection, route_bijection_reversed, suffix_graph
 from insitu.blockseq import compile_general4_flexible
 from insitu.factor import compile_general4_sorted, compile_general5
 from insitu.formats import format_linear_program, format_program
@@ -32,29 +32,29 @@ PINS = [
     ("bijection", 2, 6, "general4-sorted",
      "31f82d0b97d659e53d5fba30dd87ec44a300dadd026927c2e539241195823eb5"),
     ("bijection", 3, 4, "benes",
-     "fb887747c45d7b8757e40884c3188919e027791d8f2ed079ddf928e8d12adf0c"),
+     "8fb789625b4a6f8d9758282461f379e981db485a5c60a1bc51105c700e7cb59c"),
     ("bijection", 3, 4, "benes-reversed",
-     "877a8fa8f84545c956df12c5b500d705bf230ae1b51f3c5995b1ab0780dcc350"),
+     "c814a7e72cd5acc3956c50a2ebb1137c4fe55a2d8291bbe85b7bfb9deb44e239"),
     ("bijection", 3, 4, "general5",
-     "344157c6217784aee1d42f41f01f0325e0b5b4a532d20e9b7dce999b3615644b"),
+     "9ee42e51dc30f4d4d09be04edb2359dc65edfaabf495b425f8877022b0492a04"),
     ("bijection", 3, 4, "general4-sorted",
-     "f3ac27d9c3f4a76b8ea6b3a9ad9a45604d9839626ac1581c3cb930b21562337d"),
+     "3c0dfc69aced881283fd8288a8d7a073689da4f9c660cc02a9ee22b740a5c50d"),
     ("bijection", 4, 3, "benes",
-     "5a3b35926849a4459e0a77ab8b9758945a0fb6e88c4a153f001e9f85a783dc76"),
+     "8dfa2d1a83f99ae31dba0614d0197f4b5b3458beaf528df556adb87f1ad0e35b"),
     ("bijection", 4, 3, "benes-reversed",
-     "9ad8d7064fa52a6caf31d757d0e618f70d5968ba7235adba718a11982bd90a5e"),
+     "02502377fcca7e9747ee8511fbd5611d787da802dd5d9d750a0e96a18d9ad23f"),
     ("bijection", 4, 3, "general5",
-     "2135d546468eb1927bf98926656bd712e52e36e81b9eb3b4c498dd1eae43b9bf"),
+     "e8d1d679f0ddb88d3d4eadd8cc2a2139e421ae60c2bb014947105e98ab78f11d"),
     ("bijection", 4, 3, "general4-sorted",
-     "4e83caa4e3729ddd399d63f86c8687d5f1abf6237b8570b820696db41fb7790c"),
+     "f5a234bcaaba4048ffa071b5032faeec046706e4f9b5970674e05a0a5975a111"),
     ("bijection", 5, 3, "benes",
-     "c5f2e1656f3c1ab87da1d6d47a9d1cac82d842efbb8c831e187f52f621f2f903"),
+     "9dc2ef3ef156c7ce6cb2f2e08bcb7e20efab07a72c3ef5e71f2cb682dcf6068e"),
     ("bijection", 5, 3, "benes-reversed",
-     "890fd8d53a634742265f8839798219bb1e51d129f7c1ee828d468fa46053cd96"),
+     "d42f9b82b1ddcb2490093cb60af465a4743ebf9d650bb0ebd74d02f11e141938"),
     ("bijection", 5, 3, "general5",
-     "449d121a8cdce925e49f5d3667c1678f2d52ee2992051bb21721515b4f698721"),
+     "45ad408bf7e0cfe90342e6ffe7d3d7308eba7f72bcd26bc1f2a24105b9762ad5"),
     ("bijection", 5, 3, "general4-sorted",
-     "f2ab43ad3381778583f1c67e7db305cd591573feff59bcfae8a556e4ada60dd5"),
+     "bfe85647945d0bfe84608b578c684c77ccb806ffbc871b90bbb549ea7702c3ce"),
     ("mapping", 2, 5, "general5",
      "aaf68769374d174fe2197de768cbebd78a72ec556cb17869bc39e4443de1b034"),
     ("mapping", 2, 5, "general4-sorted",
@@ -62,9 +62,9 @@ PINS = [
     ("mapping", 2, 5, "general4-flex",
      "9d5ab30a170614a8e8b8dfb7afacb1a1e715b80f182b11356e359e08893019db"),
     ("mapping", 3, 3, "general5",
-     "5fa90cea95de8ccf7f245042cc18a52dc71d5bd812a173856eb1ea9b41f690ae"),
+     "e53307cbf1bae007d4b33afc60beee2dd16e95a6bc62b8c18f00db081bfe47aa"),
     ("mapping", 3, 3, "general4-sorted",
-     "aa6db5e5d8f39d609270ba22399831bd9902bd4b96ff6e7643b84ae0f2aa260a"),
+     "0fa86a2b5f2a4ee76ac8bac6e17e13924a55712bfd58a76ac9ed462d02ec1eb9"),
 ]
 
 
@@ -74,6 +74,34 @@ def test_compiled_text_is_pinned(kind, s, n, compiler, digest):
     e = draw(Alphabet(s, n), SplitMix64(7))
     text = format_program(COMPILE[compiler](e))
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("kind,s,n,compiler", [pin[:4] for pin in PINS])
+def test_pinned_programs_check_out(kind, s, n, compiler):
+    # the pins fix bytes; this checks what those bytes must do, so that a
+    # re-derived pin is one of a program that works
+    a = Alphabet(s, n)
+    draw = random_bijection if kind == "bijection" else random_mapping
+    e = draw(a, SplitMix64(7))
+    program = COMPILE[compiler](e)
+    report = minsim.verify(program, e)
+    assert report.performs
+    signature = oracle.method_network(compiler.removesuffix("-reversed"), a).signature
+    if compiler == "benes-reversed":
+        signature = tuple(n + 1 - t for t in signature)
+    assert program.signature == signature
+    if compiler.startswith("benes"):
+        assert report.vertex_disjoint
+
+
+@pytest.mark.parametrize("s,n", sorted({(s, n) for kind, s, n, _, _ in PINS if kind == "bijection"}))
+def test_pinned_bijections_color_by_matchings(s, n):
+    g = suffix_graph(random_bijection(Alphabet(s, n), SplitMix64(7)))
+    colors = edge_color(g)
+    for c in range(s):
+        ends = [(l, r) for (l, r, _), got in zip(g.edges, colors) if got == c]
+        assert sorted(l for l, _ in ends) == list(range(g.order))
+        assert sorted(r for _, r in ends) == list(range(g.order))
 
 
 # SHA-256 of format_linear_program output; each matrix is drawn row by row
