@@ -31,6 +31,7 @@ from .core import (
     InSituProgram,
     Mapping,
     NotBijective,
+    _program,
     component_permutation,
     step_images,
 )
@@ -240,7 +241,7 @@ def route_bijection(e: Mapping) -> InSituProgram:
         down.append(Assignment(k, table=tuple(back)))
         targets = nxt
     middle = Assignment(a.n, table=tuple(t // s ** (a.n - 1) for t in targets))
-    return InSituProgram(a, (*up, middle, *reversed(down)))
+    return _program(a, (*up, middle, *reversed(down)))
 
 
 def route_bijection_reversed(e: Mapping) -> InSituProgram:
@@ -259,4 +260,4 @@ def route_bijection_reversed(e: Mapping) -> InSituProgram:
                    table=tuple(asg.table[rev[v]] for v in range(a.size)))
         for asg in prog.assignments
     )
-    return InSituProgram(a, steps)
+    return _program(a, steps)

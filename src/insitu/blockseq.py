@@ -24,6 +24,7 @@ from .core import (
     InSituProgram,
     Mapping,
     NotBoolean,
+    _program,
     concat,
     execute_all,
     merge_adjacent,
@@ -241,7 +242,7 @@ def compile_general4_flexible(
     fac = factor_by_classes(e, tuple(slots))
     g = benes.route_bijection(fac.pre)
     f = benes.route_bijection(fac.post)
-    head = InSituProgram(a, f.assignments[:a.n])
+    head = _program(a, f.assignments[:a.n])
     mid = compose_forward_program(fac.collapse, head)
-    tail = InSituProgram(a, f.assignments[a.n:])
+    tail = _program(a, f.assignments[a.n:])
     return merge_adjacent(concat(g, mid, tail))

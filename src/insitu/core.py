@@ -11,6 +11,10 @@ Assignments carry either a dense table (new value per current index) or
 the coefficient row of a linear form over Z/sZ.  The linear payload is
 what lets programs over huge index spaces (e.g. Z/101^8) execute on
 single vectors without materializing tables.
+
+The `Mapping` and `InSituProgram` constructors and the parsers check
+their input, and every program the package computes from checked input
+is built without a second check of its tables.
 """
 
 from __future__ import annotations
@@ -106,6 +110,7 @@ class Mapping:
         size = self.alphabet.size
         if len(self.images) != size:
             raise ValueError(f"mapping needs {size} images, got {len(self.images)}")
+        _check_ints(self.images, "image")
         for y in self.images:
             if not 0 <= y < size:
                 raise ValueError(f"image {y} out of range [0, {size})")
@@ -203,17 +208,30 @@ class InSituProgram:
         return tuple(asg.target for asg in self.assignments)
 
 
-def _check_values(values: Sequence[int], s: int, pos: int, what: str) -> None:
+def _program(alphabet: Alphabet, assignments: tuple[Assignment, ...]) -> InSituProgram:
+    # a program whose steps the package computed from checked mappings or
+    # programs is valid by construction, so it skips the entry check
+    program = object.__new__(InSituProgram)
+    object.__setattr__(program, "alphabet", alphabet)
+    object.__setattr__(program, "assignments", assignments)
+    return program
+
+
+def _check_ints(values: Sequence[int], what: str) -> None:
     # one sum in C stands in for a type test per entry: a float, Fraction
     # or Decimal among ints makes the sum one, and a str or None makes it raise
     try:
-        ints = type(sum(values)) is int
+        if type(sum(values)) is int:
+            return
     except TypeError:
-        ints = False
-    if not ints:
-        for v in values:
-            if not isinstance(v, int):
-                raise ValueError(f"assignment {pos}: {what} {v!r} is not an integer")
+        pass
+    for v in values:
+        if not isinstance(v, int):
+            raise ValueError(f"{what} {v!r} is not an integer")
+
+
+def _check_values(values: Sequence[int], s: int, pos: int, what: str) -> None:
+    _check_ints(values, f"assignment {pos}: {what}")
     for v in values:
         if not 0 <= v < s:
             raise ValueError(f"assignment {pos}: {what} {v} out of range [0, {s})")
@@ -225,7 +243,6 @@ def execute(program: InSituProgram, vector: Sequence[int]) -> tuple[int, ...]:
     s = a.s
     digits = list(vector)
     index_of(digits, a)  # validates length and range
-    pows = a.powers()
     for asg in program.assignments:
         i = asg.target - 1
         if asg.table is not None:
@@ -258,7 +275,7 @@ def concat(*programs: InSituProgram) -> InSituProgram:
         if p.alphabet != a:
             raise ValueError("alphabet mismatch in concatenation")
         parts.extend(p.assignments)
-    return InSituProgram(a, tuple(parts))
+    return _program(a, tuple(parts))
 
 
 def merge_adjacent(program: InSituProgram) -> InSituProgram:
@@ -273,7 +290,7 @@ def merge_adjacent(program: InSituProgram) -> InSituProgram:
             merged[-1] = _compose_steps(merged[-1], asg, a)
         else:
             merged.append(asg)
-    return InSituProgram(a, tuple(merged))
+    return _program(a, tuple(merged))
 
 
 def _compose_steps(first: Assignment, second: Assignment, alphabet: Alphabet) -> Assignment:
@@ -305,7 +322,7 @@ def reverse_boolean_bijection(program: InSituProgram) -> InSituProgram:
         raise NotBoolean("reversal by re-running steps needs alphabet {0, 1}")
     if not execute_all(program).is_bijective():
         raise NotBijective("program does not compute a bijection")
-    return InSituProgram(program.alphabet, tuple(reversed(program.assignments)))
+    return _program(program.alphabet, tuple(reversed(program.assignments)))
 
 
 def cycle_program(k: int, alphabet: Alphabet) -> InSituProgram:
@@ -325,7 +342,7 @@ def cycle_program(k: int, alphabet: Alphabet) -> InSituProgram:
     for target in range(k, 1, -1):
         steps.append(Assignment(target, coeffs=fold))
     steps.append(Assignment(1, coeffs=fold))
-    return InSituProgram(alphabet, tuple(steps))
+    return _program(alphabet, tuple(steps))
 
 
 def component_permutation(sources: Sequence[int], alphabet: Alphabet) -> Mapping:
@@ -407,6 +424,6 @@ def regroup(program: InSituProgram, group_size: int) -> InSituProgram:
     steps = []
     for reg, chunk in runs:
         shift = reg * group_size
-        images = execute_all(InSituProgram(a, tuple(chunk))).images
+        images = execute_all(_program(a, tuple(chunk))).images
         steps.append(Assignment(reg + 1, table=tuple(w >> shift & mask for w in images)))
-    return InSituProgram(wide, tuple(steps))
+    return _program(wide, tuple(steps))

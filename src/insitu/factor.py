@@ -26,6 +26,7 @@ from .core import (
     InSituError,
     InSituProgram,
     Mapping,
+    _program,
     concat,
     merge_adjacent,
     step_images,
@@ -98,7 +99,7 @@ def _sweep_program(alphabet: Alphabet, targets: Sequence[int]) -> InSituProgram:
         steps.append(Assignment(j, table=tab))
         trans = step_images(tab, j, alphabet)
         positions = [trans[p] for p in positions]
-    return InSituProgram(alphabet, tuple(steps))
+    return _program(alphabet, tuple(steps))
 
 
 def _stage_table(alphabet: Alphabet, target: int, positions: Sequence[int],
@@ -136,7 +137,7 @@ def backward_restricted_program(mapping: Mapping, lo: int, hi: int) -> InSituPro
     # staircase completion of the inverse: constant before the first image,
     # stepping up by at most one at each image, hence distance-compatible
     completion = [lo + max(bisect_right(ms, t) - 1, 0) for t in range(size)]
-    sweep = forward_program(Mapping(a, tuple(completion)))
+    sweep = _sweep_program(a, completion)
 
     # follow the images of the range through the sweep; the inverse of
     # stage j writes back, where each one lands, the component it had
@@ -151,7 +152,7 @@ def backward_restricted_program(mapping: Mapping, lo: int, hi: int) -> InSituPro
         positions = landed
     if positions != list(range(lo, hi + 1)):
         raise InSituError("completion sweep did not land on the expected index")
-    return InSituProgram(a, tuple(reversed(steps)))
+    return _program(a, tuple(reversed(steps)))
 
 
 @dataclass(frozen=True)

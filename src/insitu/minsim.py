@@ -26,6 +26,7 @@ from .core import (
     BadSignature,
     InSituProgram,
     Mapping,
+    _program,
     assignment_table,
     step_images,
     vector_of,
@@ -92,7 +93,7 @@ def routing_of(program: InSituProgram) -> InSituProgram:
     """The same program with every step as a table: the edge each vertex
     takes at each stage of the network of its signature."""
     a = program.alphabet
-    return InSituProgram(a, tuple(
+    return _program(a, tuple(
         Assignment(asg.target, table=assignment_table(asg, a)) for asg in program.assignments))
 
 

@@ -25,8 +25,19 @@ from insitu import (
     reverse_boolean_bijection,
     vector_of,
 )
-from insitu.benes import route_bijection
-from insitu.rng import SplitMix64, random_bijection
+from insitu import core
+from insitu.benes import route_bijection, route_bijection_reversed
+from insitu.blockseq import compile_general4_flexible
+from insitu.factor import (
+    backward_restricted_program,
+    compile_general4_sorted,
+    compile_general5,
+    factor_by_classes,
+    forward_program,
+)
+from insitu.formats import format_program, parse_program
+from insitu.minsim import routing_of
+from insitu.rng import SplitMix64, random_bijection, random_mapping
 
 
 def test_alphabet_validation():
@@ -156,6 +167,63 @@ def test_program_rejects_non_integer_coefficients():
         InSituProgram(Alphabet(2, 1), (Assignment(1, coeffs=(0.5,)),))
     with pytest.raises(ValueError, match=r"^assignment 0: coefficient 1\.0 is not an integer$"):
         InSituProgram(Alphabet(3, 2), (Assignment(2, coeffs=(2, 1.0)),))
+
+
+def test_mapping_rejects_non_integer_images():
+    with pytest.raises(ValueError, match=r"^image 0\.5 is not an integer$"):
+        Mapping(Alphabet(2, 2), (0.5, 1, 2, 3))
+    a = Alphabet(2, 2)
+    # each image but None is in range and compares equal to an int
+    for bad in (1.0, Fraction(1), Decimal(1), "1", None):
+        with pytest.raises(ValueError) as err:
+            Mapping(a, (0, bad, 2, 3))
+        assert str(err.value) == f"image {bad!r} is not an integer"
+    with pytest.raises(ValueError, match=r"^image 4 out of range \[0, 4\)$"):
+        Mapping(a, (0, 1, 2, 4))
+    with pytest.raises(ValueError, match=r"^mapping needs 4 images, got 3$"):
+        Mapping(a, (0, 1, 2))
+
+
+def test_tables_are_checked_only_where_programs_enter(monkeypatch):
+    # programs the package computes from checked mappings and programs
+    # skip the table check; parsed and hand-built programs do not
+    rng = SplitMix64(9)
+    boolean, ternary = Alphabet(2, 4), Alphabet(3, 3)
+    bij = random_bijection(boolean, rng)
+    bij3 = random_bijection(ternary, rng)
+    maps = [random_mapping(boolean, rng), random_mapping(ternary, rng)]
+    routed = route_bijection(bij)
+    fac = factor_by_classes(maps[1])
+    twice = concat(routed, routed)
+    linear = cycle_program(3, ternary)
+    text = format_program(routed)
+
+    checked = []
+    real = core._check_values
+    monkeypatch.setattr(core, "_check_values", lambda *args: checked.append(args) or real(*args))
+
+    def checks(build, *args):
+        checked.clear()
+        build(*args)
+        return len(checked)
+
+    for e in (bij, bij3):
+        assert checks(route_bijection, e) == 0
+        assert checks(route_bijection_reversed, e) == 0
+    for e in maps:
+        assert checks(compile_general5, e) == 0
+        assert checks(compile_general4_sorted, e) == 0
+    assert checks(compile_general4_flexible, maps[0]) == 0
+    assert checks(forward_program, fac.collapse) == 0
+    assert checks(backward_restricted_program, fac.post, 0, len(fac.slots) - 1) == 0
+    assert checks(concat, routed, routed) == 0
+    assert checks(merge_adjacent, twice) == 0
+    assert checks(regroup, routed, 2) == 0
+    assert checks(reverse_boolean_bijection, routed) == 0
+    assert checks(cycle_program, 3, ternary) == 0
+    assert checks(routing_of, linear) == 0
+    assert checks(parse_program, text) == len(routed)
+    assert checks(InSituProgram, boolean, routed.assignments) == len(routed)
 
 
 def test_merge_adjacent_preserves_behavior():
