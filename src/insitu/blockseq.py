@@ -197,7 +197,7 @@ def compose_forward_program(mapping: Mapping, head: InSituProgram) -> InSituProg
         raise NotSuffixCompatible("equal suffixes must map to equal suffixes")
     target = execute_all(head)
     composed = tuple(target.images[y] for y in mapping.images)
-    return _sweep_program(a, composed)
+    return _sweep_program(a, range(a.size), composed, range(1, a.n + 1))
 
 
 def compile_general4_flexible(
@@ -235,7 +235,7 @@ def compile_general4_flexible(
         if len(slots) != a.size:
             raise InvalidOrdering(f"need {a.size} runs, got {len(slots)}")
         for y, v in zip(slots, bseq.values):
-            have = len(classes[y]) if y is not None else 0
+            have = len(classes.get(y, ()))
             if have != v:
                 raise InvalidOrdering("run sizes disagree with the block sequence")
 

@@ -16,14 +16,12 @@ Exit codes: 0 success, 1 verification mismatch or suite failures,
 2 domain errors (NotBijective, NotInvertible, ...), 3 bad usage or
 unparseable input, 4 internal error (an exception the package does not
 expect, reported as `error: internal: <type>: <message>`).
-INSITU_THREADS caps suite worker threads.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import os
 import sys
 
 from . import linmod, minsim, oracle
@@ -193,10 +191,8 @@ def _cmd_random(args) -> int:
 
 
 def _cmd_suite(args) -> int:
-    workers = int(os.environ.get("INSITU_THREADS", "1"))
     report = oracle.exhaustive_suite(
-        Alphabet(args.s, args.n), args.method,
-        sample=args.sample, seed=args.seed, workers=max(workers, 1))
+        Alphabet(args.s, args.n), args.method, sample=args.sample, seed=args.seed)
     sys.stdout.write(report.to_text())
     return EXIT_OK if report.ok else EXIT_MISMATCH
 

@@ -7,6 +7,11 @@ indices, `collapse` sends the t-th run onto the single index t, and
 The outer bijections compile to 2n - 1 steps each; `collapse` never
 moves an index by more than one per input step, which lets a single
 ascending sweep of assignments (signature 1, 2, ..., n) compute it.
+When the collapsed points are strictly increasing on a range, a single
+descending sweep places them: range inputs that agree on components
+1..j are at least s^j apart, and so are their increasing images, which
+therefore differ above component j: no stage is asked two digits at one
+entry.
 
 Compilers built on this factorization:
   compile_general5        length <= 5n - 4, signature 1..n..1..n..1..n
@@ -15,7 +20,6 @@ Compilers built on this factorization:
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -29,7 +33,6 @@ from .core import (
     _program,
     concat,
     merge_adjacent,
-    step_images,
 )
 
 
@@ -85,74 +88,59 @@ def forward_program(mapping: Mapping) -> InSituProgram:
     """
     if not is_distance_compatible(mapping):
         raise NotDistanceCompatible("images of neighbours differ by more than 1")
-    return _sweep_program(mapping.alphabet, mapping.images)
+    a = mapping.alphabet
+    return _sweep_program(a, range(a.size), mapping.images, range(1, a.n + 1))
 
 
-def _sweep_program(alphabet: Alphabet, targets: Sequence[int]) -> InSituProgram:
-    # stage j writes component j of every input's target where the input
-    # stands, then every input moves on through that table
+def _sweep_program(alphabet: Alphabet, sources: Sequence[int], targets: Sequence[int],
+                   components: Sequence[int]) -> InSituProgram:
+    """One stage per component, in the given order, moving sources[i] to
+    targets[i].  A stage writes the target's digit where each point
+    stands; a point stands at its target's digits on the components
+    written so far and at its source's digits on the rest.  Entries no
+    point reaches keep the identity; two different digits asked of one
+    entry raise."""
     s = alphabet.s
-    positions = range(alphabet.size)
+    size = alphabet.size
+    positions = sources
     steps = []
-    for j, pw in enumerate(alphabet.powers(), start=1):
-        tab = _stage_table(alphabet, j, positions, [y // pw % s for y in targets])
-        steps.append(Assignment(j, table=tab))
-        trans = step_images(tab, j, alphabet)
-        positions = [trans[p] for p in positions]
+    for j in components:
+        pw = s ** (j - 1)
+        tab = [-1] * size
+        moved = []
+        for p, y in zip(positions, targets):
+            d = y // pw % s
+            have = tab[p]
+            if have != d:
+                if have >= 0:
+                    raise InSituError("conflicting table entries; precondition violated")
+                tab[p] = d
+            moved.append(p + (d - p // pw % s) * pw)
+        steps.append(Assignment(j, table=tuple(
+            d if d >= 0 else p // pw % s for p, d in enumerate(tab))))
+        positions = moved
     return _program(alphabet, tuple(steps))
-
-
-def _stage_table(alphabet: Alphabet, target: int, positions: Sequence[int],
-                 values: Sequence[int]) -> tuple[int, ...]:
-    """Table of component `target` holding values[i] at positions[i] and
-    the identity elsewhere; two different values at one position raise."""
-    tab = [-1] * alphabet.size
-    for p, v in zip(positions, values):
-        if tab[p] != v:
-            if tab[p] >= 0:
-                raise InSituError("conflicting table entries; precondition violated")
-            tab[p] = v
-    s = alphabet.s
-    pw = s ** (target - 1)
-    return tuple(v if v >= 0 else p // pw % s for p, v in enumerate(tab))
 
 
 def backward_restricted_program(mapping: Mapping, lo: int, hi: int) -> InSituProgram:
     """Descending sweep (signature n, ..., 2, 1) computing `mapping` on the
     index range [lo, hi], on which it must be strictly increasing.
 
+    Two inputs of the range that agree on components 1..j are at least
+    s^j apart, and so are their images, which therefore differ on some
+    component above j: no two points of the sweep ever share an entry.
     Outside the range the program's behavior is unspecified (tables are
-    completed with the identity).  Built by inverting, step by step, the
-    ascending sweep of a distance-compatible completion of the inverse.
+    completed with the identity).
     """
     a = mapping.alphabet
     size = a.size
     if not 0 <= lo <= hi < size:
         raise ValueError(f"bad range [{lo}, {hi}] for index space of size {size}")
-    ms = [mapping.images[j] for j in range(lo, hi + 1)]
+    ms = mapping.images[lo:hi + 1]
     for prev, cur in zip(ms, ms[1:]):
         if cur <= prev:
             raise NotOrderPreserving("images must be strictly increasing on the range")
-
-    # staircase completion of the inverse: constant before the first image,
-    # stepping up by at most one at each image, hence distance-compatible
-    completion = [lo + max(bisect_right(ms, t) - 1, 0) for t in range(size)]
-    sweep = _sweep_program(a, completion)
-
-    # follow the images of the range through the sweep; the inverse of
-    # stage j writes back, where each one lands, the component it had
-    s = a.s
-    positions = ms
-    steps = []
-    for asg, pw in zip(sweep.assignments, a.powers()):
-        trans = step_images(asg.table, asg.target, a)
-        landed = [trans[p] for p in positions]
-        steps.append(Assignment(asg.target, table=_stage_table(
-            a, asg.target, landed, [p // pw % s for p in positions])))
-        positions = landed
-    if positions != list(range(lo, hi + 1)):
-        raise InSituError("completion sweep did not land on the expected index")
-    return _program(a, tuple(reversed(steps)))
+    return _sweep_program(a, range(lo, hi + 1), ms, range(a.n, 0, -1))
 
 
 @dataclass(frozen=True)

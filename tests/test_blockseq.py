@@ -225,6 +225,8 @@ def test_compile_general4_flexible_slot_override():
     assert execute_all(p).images == e.images
     with pytest.raises(InvalidOrdering):
         compile_general4_flexible(e, slot_images=[0, 3])
+    with pytest.raises(InvalidOrdering):
+        compile_general4_flexible(Mapping(a, (0, 0, 1, 1)), slot_images=(0, 3, None, None))
 
 
 def test_compile_general4_flexible_rejects_wide_alphabets():

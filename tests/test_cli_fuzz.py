@@ -6,7 +6,8 @@ input, a call must end in exit 0-3 within 2 s: outside data is stopped
 where it enters, with a usage or domain error, and never reaches code
 that fails with an internal error (exit 4).  Inputs stay small (at most
 64 points, `oracle --max-len` 3 with a budget of 20000, `suite --sample`
-20), and `INSITU_THREADS` stays unset, so no call starts a thread.
+20), and the command line runs the suite on one worker, so no call starts
+a thread.
 """
 
 import contextlib
@@ -137,11 +138,10 @@ def test_cli_exits_cleanly_on_random_input(case):
     assume(_small(argv))
     home = os.getcwd()
     # any argument may name a file to write, so every call runs in a scratch directory
-    with tempfile.TemporaryDirectory() as tmp, mock.patch.dict(os.environ), \
+    with tempfile.TemporaryDirectory() as tmp, \
             mock.patch.object(sys, "stdin", io.StringIO(files.pop("-", ""))), \
             contextlib.redirect_stdout(io.StringIO()), \
             contextlib.redirect_stderr(io.StringIO()) as err:
-        os.environ.pop("INSITU_THREADS", None)
         os.chdir(tmp)
         try:
             for name, text in files.items():
