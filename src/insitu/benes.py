@@ -15,13 +15,18 @@ Colorings come from Euler partitions (Gabow 1976).  Pairing the edges at
 every vertex of a d-regular graph, d even, closes them into alternating
 cycles; alternate edges around each cycle form two (d/2)-regular halves,
 which split again down to degree 2, whose cycles alternate two colors.
-An odd degree d > 1 first takes one perfect matching, found by Kuhn's
+s = 2 is that degree-2 base case, with no walk of its own.  An odd
+degree d > 1 first takes one perfect matching, found by Kuhn's
 augmenting-path search, as a color of its own.  So s = 2^k needs no
 matching, and s = 3, 5, 6, 7 need 1, 1, 2, 3 per level.
+
+Regularity is checked where a graph enters, in `edge_color`; the level
+graphs of `route_bijection` are s-regular by construction.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import compress
 
@@ -70,82 +75,53 @@ def edge_color(graph: SuffixGraph) -> tuple[int, ...]:
 
     Returns one color in [0, s) per edge, aligned with graph.edges.
     Deterministic: the same graph always gets the same coloring.
+    Raises ValueError for an endpoint outside [0, order) and NotRegular
+    unless every vertex has degree s.
     """
-    order = graph.order
-    for eid, (l, r, _key) in enumerate(graph.edges):
+    s, order = graph.s, graph.order
+    left = [l for l, _, _ in graph.edges]
+    right = [r for _, r, _ in graph.edges]
+    for eid, (l, r) in enumerate(zip(left, right)):
         if not (0 <= l < order and 0 <= r < order):
             raise ValueError(f"edge {eid} endpoint out of range")
-    return _color(graph.s, order, [l for l, _, _ in graph.edges], [r for _, r, _ in graph.edges])
-
-
-def _color(s, order, left, right) -> tuple[int, ...]:
-    # edge eid joins left[eid] and right[eid], both in [0, order)
-    adj_left: list[list[int]] = [[] for _ in range(order)]
-    adj_right: list[list[int]] = [[] for _ in range(order)]
-    for eid, (l, r) in enumerate(zip(left, right)):
-        adj_left[l].append(eid)
-        adj_right[r].append(eid)
+    # the coloring below relies on regularity to terminate
+    deg_left, deg_right = Counter(left), Counter(right)
     for v in range(order):
-        if len(adj_left[v]) != s or len(adj_right[v]) != s:
-            raise NotRegular(
-                f"vertex {v} has degrees {len(adj_left[v])}/{len(adj_right[v])}, need {s}/{s}")
+        if deg_left[v] != s or deg_right[v] != s:
+            raise NotRegular(f"vertex {v} has degrees {deg_left[v]}/{deg_right[v]}, need {s}/{s}")
     colors = [-1] * len(left)
-    if s == 2:
-        _euler_two_color(left, right, adj_left, adj_right, colors)
-    elif left:  # with no edges, any s passes the degree check
-        _euler_partition(s, order, left, right, adj_left, colors)
+    if left:  # with no edges, any s passes the degree check
+        _euler_partition(s, order, left, right, colors)
     return tuple(colors)
 
 
-def _euler_two_color(left, right, adj_left, adj_right, colors) -> None:
-    # 2-regular bipartite multigraph = disjoint even cycles; alternate
-    # colors around each cycle, starting each at its smallest edge id and
-    # leaving it by its right end.  adj_left[v] holds the two edges at v
-    for start in range(len(colors)):
-        if colors[start] >= 0:
-            continue
-        cur = start
-        while True:
-            colors[cur] = 0
-            around = adj_right[right[cur]]
-            cur = around[1] if around[0] == cur else around[0]
-            colors[cur] = 1
-            around = adj_left[left[cur]]
-            cur = around[1] if around[0] == cur else around[0]
-            if cur == start:
-                break
-
-
-def _euler_partition(s, order, left, right, adj_left, colors) -> None:
-    # Gabow's Euler partition.  Pairing the edges at every vertex turns a
-    # d-regular graph, d even, into a 2-regular graph on the pairs; its
-    # 2-coloring puts the two edges of every pair in different halves, so
-    # each half is (d/2)-regular.  An odd degree d first gives up one
-    # perfect matching.  A task is a subgraph: its edge ids, their left and
-    # right ends, its degree and its first color
+def _euler_partition(s, order, left, right, colors) -> None:
+    # Gabow's Euler partition of an s-regular bipartite multigraph; edge
+    # eid joins left[eid] and right[eid], both in [0, order).  Pairing the
+    # edges at every vertex turns a d-regular graph, d even, into a
+    # 2-regular graph on the pairs; its 2-coloring puts the two edges of
+    # every pair in different halves, so each half is (d/2)-regular, and
+    # at d = 2 it is the coloring.  An odd degree d gives up one perfect
+    # matching and leaves the rest, of degree d - 1.  A task is a
+    # subgraph: its edge ids, their left and right ends, its degree and
+    # its first color
     tasks = [(range(len(left)), left, right, s, 0)]
     while tasks:
         ids, lefts, rights, d, base = tasks.pop()
         if d % 2:
-            if d != s:  # a subgraph: adj_left came with the whole graph
-                adj_left = [[] for _ in range(order)]
-                for i, l in enumerate(lefts):
-                    adj_left[l].append(i)
+            adj_left = [[] for _ in range(order)]
+            for i, l in enumerate(lefts):
+                adj_left[l].append(i)
             rest = [True] * len(ids)
             for i in _perfect_matching(lefts, rights, order, adj_left):
                 colors[ids[i]] = base
                 rest[i] = False
-            if d == 1:
-                continue
-            d -= 1
-            base += 1
-            ids = list(compress(ids, rest))
-            lefts = list(compress(lefts, rest))
-            rights = list(compress(rights, rest))
-        at_left, pairs_left = _pairs(lefts, order)
-        at_right, pairs_right = _pairs(rights, order)
+            if d > 1:
+                tasks.append((list(compress(ids, rest)), list(compress(lefts, rest)),
+                              list(compress(rights, rest)), d - 1, base + 1))
+            continue
         side = [-1] * len(ids)
-        _euler_two_color(at_left, at_right, pairs_left, pairs_right, side)
+        _euler_two_color(_partners(lefts, order), _partners(rights, order), side)
         if d == 2:
             for eid, c in zip(ids, side):
                 colors[eid] = base + c
@@ -156,11 +132,10 @@ def _euler_partition(s, order, left, right, adj_left, colors) -> None:
                           list(compress(rights, keep)), d, first))
 
 
-def _pairs(ends, order):
-    # pair the edges at every vertex in id order; pair at[eid] of eid is a
-    # vertex of degree 2 in the graph that splits each vertex into pairs
-    at = [0] * len(ends)
-    pairs = []
+def _partners(ends, order) -> list[int]:
+    # pair the edges at every vertex in id order: partner[eid] is the
+    # edge paired with eid at its end ends[eid]; every degree is even
+    partner = [0] * len(ends)
     waiting = [-1] * order
     for eid, v in enumerate(ends):
         other = waiting[v]
@@ -168,9 +143,26 @@ def _pairs(ends, order):
             waiting[v] = eid
         else:
             waiting[v] = -1
-            at[other] = at[eid] = len(pairs)
-            pairs.append((other, eid))
-    return at, pairs
+            partner[other] = eid
+            partner[eid] = other
+    return partner
+
+
+def _euler_two_color(partner_left, partner_right, colors) -> None:
+    # every edge has one partner at each end, so the edges fall into
+    # disjoint even cycles; alternate colors around each cycle, starting
+    # each at its smallest edge id and leaving it by its right end
+    for start in range(len(colors)):
+        if colors[start] >= 0:
+            continue
+        cur = start
+        while True:
+            colors[cur] = 0
+            cur = partner_right[cur]
+            colors[cur] = 1
+            cur = partner_left[cur]
+            if cur == start:
+                break
 
 
 def _perfect_matching(left, right, order, adj_left) -> list[int]:
@@ -226,9 +218,11 @@ def route_bijection(e: Mapping) -> InSituProgram:
     down: list[Assignment] = []
     for k in range(1, a.n):
         pw = s ** (k - 1)
-        # one edge per position p, both ends with component k removed
-        colors = _color(s, a.size // s, [p % pw + p // (pw * s) * pw for p in range(a.size)],
-                        [t % pw + t // (pw * s) * pw for t in targets])
+        # one edge per position p, both ends with component k removed; the
+        # graph is s-regular because targets is a permutation
+        colors = [-1] * a.size
+        _euler_partition(s, a.size // s, [p % pw + p // (pw * s) * pw for p in range(a.size)],
+                         [t % pw + t // (pw * s) * pw for t in targets], colors)
         moved = step_images(colors, k, a)
         back = [0] * a.size
         nxt = [0] * a.size
@@ -237,7 +231,7 @@ def route_bijection(e: Mapping) -> InSituProgram:
             t += (colors[p] - digit) * pw
             back[t] = digit
             nxt[moved[p]] = t
-        up.append(Assignment(k, table=colors))
+        up.append(Assignment(k, table=tuple(colors)))
         down.append(Assignment(k, table=tuple(back)))
         targets = nxt
     middle = Assignment(a.n, table=tuple(t // s ** (a.n - 1) for t in targets))

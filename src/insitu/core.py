@@ -320,8 +320,12 @@ def reverse_boolean_bijection(program: InSituProgram) -> InSituProgram:
     """
     if program.alphabet.s != 2:
         raise NotBoolean("reversal by re-running steps needs alphabet {0, 1}")
-    if not execute_all(program).is_bijective():
-        raise NotBijective("program does not compute a bijection")
+    # the program is a bijection iff every step is: until the first step
+    # that merges two states, every state is reachable
+    for asg in program.assignments:
+        images = step_images(assignment_table(asg, program.alphabet), asg.target, program.alphabet)
+        if len(set(images)) < len(images):
+            raise NotBijective("program does not compute a bijection")
     return _program(program.alphabet, tuple(reversed(program.assignments)))
 
 

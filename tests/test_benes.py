@@ -1,5 +1,6 @@
 import itertools
 import time
+from collections import Counter
 
 import pytest
 
@@ -12,7 +13,9 @@ from insitu.benes import (
     route_bijection_reversed,
     suffix_graph,
 )
-from insitu.rng import SplitMix64, random_bijection
+from insitu.blockseq import compile_general4_flexible
+from insitu.factor import compile_general4_sorted, compile_general5
+from insitu.rng import SplitMix64, random_bijection, random_mapping
 
 
 def expected_signature(n):
@@ -121,6 +124,36 @@ def test_matchings_per_level_graph(monkeypatch, s, calls):
     seen.clear()
     route_bijection(e)  # two level graphs
     assert len(seen) == 2 * calls
+
+
+def test_level_graphs_are_regular(monkeypatch):
+    # the compilers hand their level graphs to the colorer unchecked, which
+    # terminates only on regular graphs; each level graph is s-regular
+    # because the routed targets stay a permutation
+    seen = []
+    color = benes._euler_partition
+
+    def checked(s, order, left, right, colors):
+        assert len(left) == len(right) == s * order
+        for ends in (left, right):
+            assert sorted(Counter(ends).items()) == [(v, s) for v in range(order)]
+        seen.append(s)
+        color(s, order, left, right, colors)
+
+    monkeypatch.setattr(benes, "_euler_partition", checked)
+    for s in range(2, 8):
+        a = Alphabet(s, 3)
+        rng = SplitMix64(60 + s)
+        e = random_bijection(a, rng)
+        m = random_mapping(a, rng)
+        runs = [(route_bijection, e), (route_bijection_reversed, e), (compile_general5, e),
+                (compile_general5, m), (compile_general4_sorted, e), (compile_general4_sorted, m)]
+        if s == 2:
+            runs.append((compile_general4_flexible, m))
+        for compile_, x in runs:
+            seen.clear()
+            compile_(x)
+            assert seen and set(seen) == {s}
 
 
 def test_suffix_graph_needs_arity_two():

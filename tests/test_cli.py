@@ -322,6 +322,21 @@ def test_oversized_index_spaces_are_refused_before_allocation(tmp_path):
         assert float(seconds) < 1.0, argv
 
 
+def test_invert_empty_program_at_any_size(tmp_path):
+    # an empty program computes the identity; deciding that it is a
+    # bijection must not enumerate the s^n indices.  The child runs with
+    # 1 GiB of address space, so a regression fails here instead of
+    # exhausting memory
+    for n in (40, 64):
+        text = f"program 2 {n} 0\n"
+        prog = write(tmp_path / f"empty{n}.prog", text)
+        proc = subprocess.run([sys.executable, "-m", "insitu", "invert", prog],
+                              capture_output=True, text=True, env=_child_env(), timeout=60,
+                              preexec_fn=_cap_memory)
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert proc.stdout == text
+
+
 def test_internal_errors_have_their_own_exit_code(tmp_path, capsys, monkeypatch):
     def broken(mapping):
         raise AssertionError("routing invariant broken")

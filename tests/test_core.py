@@ -268,6 +268,21 @@ def test_reverse_boolean_bijection():
         reverse_boolean_bijection(const)
 
 
+def test_reverse_decides_bijectivity_step_by_step():
+    # every program of one or two table steps over 2^2: reversal is refused
+    # exactly when the whole program merges two inputs
+    a = Alphabet(2, 2)
+    steps = [Assignment(t, table=tuple(b >> v & 1 for v in range(4)))
+             for t in (1, 2) for b in range(16)]
+    for program in [(x,) for x in steps] + [(x, y) for x in steps for y in steps]:
+        p = InSituProgram(a, program)
+        if execute_all(p).is_bijective():
+            assert execute_all(reverse_boolean_bijection(p)).images == execute_all(p).inverse().images
+        else:
+            with pytest.raises(NotBijective):
+                reverse_boolean_bijection(p)
+
+
 def test_boolean_bijective_steps_are_xor_shaped():
     # in a boolean program computing a bijection, every step is
     # x_i := x_i + h(others): flipping bit i flips the table value

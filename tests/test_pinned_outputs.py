@@ -103,9 +103,12 @@ PEELED_PINS = [
 ]
 
 
-def _peel_matchings(s, order, left, right, adj_left, colors):
+def _peel_matchings(s, order, left, right, colors):
     # color c is the perfect matching that Kuhn's search finds among the
     # edges left uncolored by colors 0..c-1
+    adj_left = [[] for _ in range(order)]
+    for eid, l in enumerate(left):
+        adj_left[l].append(eid)
     for color in range(s):
         for eid in benes._perfect_matching(left, right, order, adj_left):
             colors[eid] = color
