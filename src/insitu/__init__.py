@@ -26,10 +26,10 @@ from .core import (
     execute,
     execute_all,
     index_of,
+    invert_program,
     merge_adjacent,
     permutation_length_bound,
     regroup,
-    reverse_boolean_bijection,
     vector_of,
 )
 from .benes import NotRegular, SuffixGraph, edge_color, route_bijection, route_bijection_reversed, suffix_graph

@@ -12,6 +12,10 @@ Methods: benes (bijections, 2n-1 steps), general5 (any mapping, 5n-4),
 general4-sorted (any mapping, 4n-3), general4-flex (boolean mappings,
 4n-3), linear (matrix files, at most 2n-1 assignment matrices).
 
+invert takes a linear program whose matrix is a unit, or a table program
+over any alphabet that computes a bijection, and writes a program for the
+inverse in the same format.
+
 Exit codes: 0 success, 1 verification mismatch or suite failures,
 2 domain errors (NotBijective, NotInvertible, ...), 3 bad usage or
 unparseable input, 4 internal error (an exception the package does not
@@ -30,8 +34,8 @@ from .core import (
     InSituError,
     InSituProgram,
     Mapping,
+    invert_program,
     regroup as regroup_program,
-    reverse_boolean_bijection,
 )
 from .formats import (
     ParseError,
@@ -162,7 +166,7 @@ def _cmd_invert(args) -> int:
     if isinstance(program, linmod.LinearProgram):
         _write(args.output, format_linear_program(linmod.invert_linear_program(program)))
     else:
-        _write(args.output, format_program(reverse_boolean_bijection(program)))
+        _write(args.output, format_program(invert_program(program)))
     return EXIT_OK
 
 
@@ -177,7 +181,9 @@ def _cmd_regroup(args) -> int:
 def _cmd_random(args) -> int:
     rng = SplitMix64(args.seed)
     if args.kind == "matrix":
-        if args.n > 0 and args.n * args.n > DRAW_CAP:
+        if args.n < 1:
+            raise ValueError(f"dimension must be at least 1, got {args.n}")
+        if args.n * args.n > DRAW_CAP:
             raise InSituError(f"a {args.n}x{args.n} matrix has {args.n * args.n} entries, "
                               f"over the cap of {DRAW_CAP} for random draws")
         ring = linmod.ModRing.of(args.s)
@@ -226,7 +232,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="most states the search may store; the last level is tested, not stored")
     p.set_defaults(fn=_cmd_oracle)
 
-    p = sub.add_parser("invert", help="invert a linear program or reverse a boolean bijection program")
+    p = sub.add_parser("invert", help="invert a linear program or a bijective table program")
     p.add_argument("program")
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(fn=_cmd_invert)

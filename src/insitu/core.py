@@ -310,23 +310,28 @@ def _compose_steps(first: Assignment, second: Assignment, alphabet: Alphabet) ->
     return Assignment(t, table=tuple(tab2[w] for w in trans))
 
 
-def reverse_boolean_bijection(program: InSituProgram) -> InSituProgram:
-    """Reverse a boolean program that computes a bijection.
+def invert_program(program: InSituProgram) -> InSituProgram:
+    """Program for the inverse of the bijection a program computes.
 
-    Over s = 2 every assignment of such a program necessarily has the shape
-    x_i := x_i + h(other components), which is an involution on the working
-    vector, so running the assignments in reverse order computes the
-    inverse bijection.
+    A program is a bijection iff every step is: until the first step that
+    merges two states, every state is reachable.  A bijective step on
+    component t permutes S on each fiber (the indices that differ only in
+    component t), so the inverse undoes the steps in reverse order, each
+    as the table of its inverse fiber permutations.  Over s = 2 every
+    fiber permutation is its own inverse, so the tables come back unchanged.
     """
-    if program.alphabet.s != 2:
-        raise NotBoolean("reversal by re-running steps needs alphabet {0, 1}")
-    # the program is a bijection iff every step is: until the first step
-    # that merges two states, every state is reachable
-    for asg in program.assignments:
-        images = step_images(assignment_table(asg, program.alphabet), asg.target, program.alphabet)
-        if len(set(images)) < len(images):
+    a = program.alphabet
+    s = a.s
+    steps = []
+    for asg in reversed(program.assignments):
+        pw = s ** (asg.target - 1)
+        inv = [None] * a.size
+        for v, w in enumerate(step_images(assignment_table(asg, a), asg.target, a)):
+            inv[w] = v // pw % s
+        if None in inv:  # some slot got two preimages, so another got none
             raise NotBijective("program does not compute a bijection")
-    return _program(program.alphabet, tuple(reversed(program.assignments)))
+        steps.append(Assignment(asg.target, table=tuple(inv)))
+    return _program(a, tuple(steps))
 
 
 def cycle_program(k: int, alphabet: Alphabet) -> InSituProgram:

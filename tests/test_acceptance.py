@@ -39,7 +39,7 @@ from insitu.blockseq import (
     permute_block_tree,
     tree_choice_count,
 )
-from insitu.core import reverse_boolean_bijection
+from insitu.core import invert_program
 from insitu.factor import (
     collapse_mapping,
     compile_general4_sorted,
@@ -330,24 +330,25 @@ def test_criterion_5_inversion():
         if not np.array_equal(back, start):
             failures.append(f"n={n} {m.entries}: round trip failed")
 
-    reversals = 0
-    for alphabet in (Alphabet(2, 1), Alphabet(2, 2), Alphabet(2, 3)):
-        rng = SplitMix64(5000 + alphabet.n)
-        count = {1: 2, 2: 24, 3: 1000}[alphabet.n]
+    # (alphabet, inputs, seed) of the Benes programs to invert
+    cases = [(Alphabet(2, 1), 2, 5001), (Alphabet(2, 2), 24, 5002), (Alphabet(2, 3), 1000, 5003),
+             (Alphabet(3, 3), 50, 5133), (Alphabet(4, 3), 20, 5143), (Alphabet(5, 2), 50, 5152)]
+    for alphabet, count, seed in cases:
+        rng = SplitMix64(seed)
         for _ in range(count):
             e = random_bijection(alphabet, rng)
-            reversals += 1
-            r = reverse_boolean_bijection(route_bijection(e))
+            r = invert_program(route_bijection(e))
             inverse = [0] * alphabet.size
             for x, y in enumerate(e.images):
                 inverse[y] = x
             if execute_all(r).images != tuple(inverse):
-                failures.append(f"{e.images}: boolean reversal wrong")
+                failures.append(f"{alphabet} {e.images}: table program inverse wrong")
 
     elapsed = time.perf_counter() - t0
     ok = not failures
+    inverted = ", ".join(f"{count} at {a.s}^{a.n}" for a, count, _ in cases)
     _report(5, ok, f"{matrices} invertible matrices round-tripped on 1000 "
-                   f"vectors each, {reversals} boolean reversals, "
+                   f"vectors each, table program inverses {inverted}, "
                    f"{elapsed:.1f}s, {len(failures)} failures")
     assert not failures, failures[:5]
 

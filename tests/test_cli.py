@@ -176,6 +176,21 @@ def test_invert_boolean_program(tmp_path, capsys):
     p = parse_program(inv.read_text())
     e = Mapping(Alphabet(2, 2), (2, 0, 3, 1))
     assert execute_all(p).images == e.inverse().images
+    # over 3^2 the inverse steps invert each step's permutation of S on
+    # every fiber, and trace the Benes network vertex-disjointly
+    e = Mapping(Alphabet(3, 2), (4, 0, 7, 2, 8, 1, 3, 6, 5))
+    src = write(tmp_path / "in3.map", format_mapping(e))
+    back = write(tmp_path / "inv3.map", format_mapping(e.inverse()))
+    assert main(["compile", src, "--method", "benes", "-o", str(prog)]) == EXIT_OK
+    assert main(["invert", str(prog), "-o", str(inv)]) == EXIT_OK
+    assert execute_all(parse_program(inv.read_text())).images == e.inverse().images
+    capsys.readouterr()
+    assert main(["verify", str(inv), back]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert "performs=true" in out and "vertex_disjoint=true" in out
+    merging = write(tmp_path / "const.prog", "program 3 1 1\n1 0 0 0\n")
+    assert main(["invert", merging]) == EXIT_DOMAIN
+    assert "NotBijective" in capsys.readouterr().err
 
 
 def test_invert_linear_rejects_non_units(tmp_path, capsys):
@@ -214,6 +229,16 @@ def test_suite_rejects_negative_sample(capsys):
         assert main(["suite", "--method", method, "--s", "2", "--n", "3",
                      "--sample", "-5"]) == EXIT_USAGE
         assert "negative" in capsys.readouterr().err
+
+
+def test_random_refuses_dimension_below_one(capsys):
+    # the same refusal and exit code as a mapping of arity 0 or a matrix
+    # file of dimension 0, before any draw
+    for n in ("0", "-1"):
+        assert main(["random", "matrix", "--s", "5", "--n", n]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: dimension must be at least 1, got {n}\n"
+        assert main(["random", "mapping", "--s", "5", "--n", n]) == EXIT_USAGE
+        capsys.readouterr()
 
 
 def test_usage_errors(tmp_path, capsys):
@@ -327,9 +352,9 @@ def test_invert_empty_program_at_any_size(tmp_path):
     # bijection must not enumerate the s^n indices.  The child runs with
     # 1 GiB of address space, so a regression fails here instead of
     # exhausting memory
-    for n in (40, 64):
-        text = f"program 2 {n} 0\n"
-        prog = write(tmp_path / f"empty{n}.prog", text)
+    for s, n in ((2, 40), (2, 64), (3, 40)):
+        text = f"program {s} {n} 0\n"
+        prog = write(tmp_path / f"empty{s}_{n}.prog", text)
         proc = subprocess.run([sys.executable, "-m", "insitu", "invert", prog],
                               capture_output=True, text=True, env=_child_env(), timeout=60,
                               preexec_fn=_cap_memory)

@@ -1,3 +1,4 @@
+import itertools
 from decimal import Decimal
 from fractions import Fraction
 
@@ -19,10 +20,10 @@ from insitu import (
     execute,
     execute_all,
     index_of,
+    invert_program,
     merge_adjacent,
     permutation_length_bound,
     regroup,
-    reverse_boolean_bijection,
     vector_of,
 )
 from insitu import core
@@ -37,6 +38,7 @@ from insitu.factor import (
 )
 from insitu.formats import format_program, parse_program
 from insitu.minsim import routing_of
+from insitu.oracle import method_network
 from insitu.rng import SplitMix64, random_bijection, random_mapping
 
 
@@ -219,7 +221,7 @@ def test_tables_are_checked_only_where_programs_enter(monkeypatch):
     assert checks(concat, routed, routed) == 0
     assert checks(merge_adjacent, twice) == 0
     assert checks(regroup, routed, 2) == 0
-    assert checks(reverse_boolean_bijection, routed) == 0
+    assert checks(invert_program, routed) == 0
     assert checks(cycle_program, 3, ternary) == 0
     assert checks(routing_of, linear) == 0
     assert checks(parse_program, text) == len(routed)
@@ -254,22 +256,64 @@ def test_merge_adjacent_linear_stays_linear():
 
 
 def test_reverse_boolean_bijection():
+    # over s = 2 the inverse is the program run backwards
     a = Alphabet(2, 3)
     rng = SplitMix64(17)
     for _ in range(20):
         e = random_bijection(a, rng)
         p = route_bijection(e)
-        r = reverse_boolean_bijection(p)
+        r = invert_program(p)
         assert execute_all(r).images == e.inverse().images
-    with pytest.raises(NotBoolean):
-        reverse_boolean_bijection(cycle_program(2, Alphabet(3, 2)))
+        assert r.assignments == tuple(reversed(p.assignments))
+    # the ternary swap x_1 := x_1 + x_2; x_2 := x_1 - x_2; x_1 := x_1 - x_2
+    swap = cycle_program(2, Alphabet(3, 2))
+    assert execute_all(invert_program(swap)).images == execute_all(swap).inverse().images
     const = InSituProgram(a, (Assignment(1, table=(0,) * 8),))
     with pytest.raises(NotBijective):
-        reverse_boolean_bijection(const)
+        invert_program(const)
+
+
+def _check_inverse(p, e):
+    q = invert_program(p)
+    assert execute_all(q).images == e.inverse().images
+    assert q.signature == p.signature[::-1]
+    if p.alphabet.s == 2:
+        assert q.assignments == tuple(reversed(p.assignments))
+    return q
+
+
+def test_invert_program_whole_universes():
+    # every bijection of each universe, routed through the Benes network,
+    # and a seeded sample of the 9! bijections of 3^2
+    for s, n in [(2, 2), (3, 1), (4, 1), (5, 1), (7, 1), (2, 3)]:
+        a = Alphabet(s, n)
+        benes = method_network("benes", a).signature
+        for images in itertools.permutations(range(a.size)):
+            e = Mapping(a, images)
+            assert _check_inverse(route_bijection(e), e).signature == benes
+    a = Alphabet(3, 2)
+    rng = SplitMix64(12)
+    for _ in range(300):
+        e = random_bijection(a, rng)
+        _check_inverse(route_bijection(e), e)
+
+
+def test_invert_program_at_every_s():
+    for s, n in [(3, 3), (4, 3), (5, 2), (7, 3)]:
+        a = Alphabet(s, n)
+        rng = SplitMix64(s * 10 + n)
+        for _ in range(5):
+            for route in (route_bijection, route_bijection_reversed):
+                e = random_bijection(a, rng)
+                p = route(e)
+                q = _check_inverse(p, e)
+                if route is route_bijection:
+                    assert q.signature == method_network("benes", a).signature
+                assert invert_program(q) == p
 
 
 def test_reverse_decides_bijectivity_step_by_step():
-    # every program of one or two table steps over 2^2: reversal is refused
+    # every program of one or two table steps over 2^2: inversion is refused
     # exactly when the whole program merges two inputs
     a = Alphabet(2, 2)
     steps = [Assignment(t, table=tuple(b >> v & 1 for v in range(4)))
@@ -277,10 +321,10 @@ def test_reverse_decides_bijectivity_step_by_step():
     for program in [(x,) for x in steps] + [(x, y) for x in steps for y in steps]:
         p = InSituProgram(a, program)
         if execute_all(p).is_bijective():
-            assert execute_all(reverse_boolean_bijection(p)).images == execute_all(p).inverse().images
+            assert execute_all(invert_program(p)).images == execute_all(p).inverse().images
         else:
             with pytest.raises(NotBijective):
-                reverse_boolean_bijection(p)
+                invert_program(p)
 
 
 def test_boolean_bijective_steps_are_xor_shaped():
