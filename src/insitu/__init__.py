@@ -80,6 +80,6 @@ from .linmod import (
 )
 from .minsim import Min, RoutingReport, benes_network, butterfly, export_dot, min_of, reversed_butterfly, routing_of, verify
 from .oracle import BudgetExceeded, SuiteReport, exhaustive_suite, full_universe, linear_universe, method_network, min_length_bfs
-from .rng import SplitMix64, random_bijection, random_mapping
+from .rng import SplitMix64, random_bijection, random_mapping, random_matrix
 
 __version__ = "0.1.0"

@@ -47,7 +47,7 @@ from .formats import (
     parse_matrix,
     parse_program,
 )
-from .rng import DRAW_CAP, SplitMix64, random_bijection, random_mapping
+from .rng import SplitMix64, random_bijection, random_mapping, random_matrix
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -181,14 +181,7 @@ def _cmd_regroup(args) -> int:
 def _cmd_random(args) -> int:
     rng = SplitMix64(args.seed)
     if args.kind == "matrix":
-        if args.n < 1:
-            raise ValueError(f"dimension must be at least 1, got {args.n}")
-        if args.n * args.n > DRAW_CAP:
-            raise InSituError(f"a {args.n}x{args.n} matrix has {args.n * args.n} entries, "
-                              f"over the cap of {DRAW_CAP} for random draws")
-        ring = linmod.ModRing.of(args.s)
-        rows = [[rng.below(args.s) for _ in range(args.n)] for _ in range(args.n)]
-        _write(args.output, format_matrix(linmod.MatrixMod.of(ring, rows)))
+        _write(args.output, format_matrix(random_matrix(args.s, args.n, rng)))
         return EXIT_OK
     alphabet = Alphabet(args.s, args.n)
     gen = random_bijection if args.kind == "bijection" else random_mapping

@@ -9,10 +9,12 @@ program is its own routing and no second type holds one.
 
 `verify` drives every input through a program, table or coefficient
 steps alike, and reports whether the final stage realizes a given
-mapping, whether the paths stay vertex disjoint, how many collisions
-each stage has, and the final images, so one trace serves both the
-verdict and the first mismatching index.  `routing_of` writes every step
-as a table, and `export_dot` draws a network with a program's edges.
+mapping, whether the paths stay vertex disjoint, and the final images,
+so one trace serves both the verdict and the first mismatching index.
+Paths that meet at a vertex share every later vertex, so they are
+disjoint at every stage iff the final stage is injective.  `routing_of`
+writes every step as a table, and `export_dot` draws a network with a
+program's edges.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from .core import (
     Mapping,
     _program,
     assignment_table,
-    step_images,
+    execute_all,
     vector_of,
 )
 
@@ -83,9 +85,10 @@ def concat(a: Min, b: Min) -> Min:
 
 @dataclass(frozen=True)
 class RoutingReport:
+    """What `verify` reads off the final stage of one trace."""
+
     performs: bool
     vertex_disjoint: bool
-    merge_profile: tuple[int, ...]
     images: tuple[int, ...]
 
 
@@ -101,23 +104,14 @@ def verify(program: InSituProgram, mapping: Mapping) -> RoutingReport:
     """Trace every input through the routing that a program is.
 
     performs: the final stage realizes `mapping`.
-    vertex_disjoint: no two paths share a vertex at any stage.
-    merge_profile: per stage, size minus the number of distinct states.
+    vertex_disjoint: no two paths share a vertex at any stage; a merge is
+    permanent, so this is read off the final stage.
     images: the final stage, i.e. the mapping the program computes.
     """
-    a = program.alphabet
-    if mapping.alphabet != a:
+    if mapping.alphabet != program.alphabet:
         raise ValueError("alphabet mismatch")
-    size = a.size
-    states = range(size)
-    profile = [0]
-    for asg in program.assignments:
-        trans = step_images(assignment_table(asg, a), asg.target, a)
-        states = [trans[v] for v in states]
-        profile.append(size - len(set(states)))
-    images = tuple(states)
-    disjoint = all(p == 0 for p in profile)
-    return RoutingReport(images == tuple(mapping.images), disjoint, tuple(profile), images)
+    got = execute_all(program)
+    return RoutingReport(got.images == tuple(mapping.images), got.is_bijective(), got.images)
 
 
 def export_dot(network: Min, routing: InSituProgram | None = None, labels: str = "index") -> str:

@@ -9,14 +9,15 @@ modulus of 10^38, takes enough outputs to cover it plus 64 more bits, so
 every residue can come up and the bias stays below 2^-64.
 
 Random tables are dense, so the generators refuse index spaces of more
-than `DRAW_CAP` points instead of trying to allocate them; the command
-line refuses random matrices of more than `DRAW_CAP` entries the same
-way.
+than `DRAW_CAP` points instead of trying to allocate them, and
+`random_matrix` refuses matrices of more than `DRAW_CAP` entries the
+same way.
 """
 
 from __future__ import annotations
 
 from .core import Alphabet, InSituError, Mapping
+from .linmod import MatrixMod, ModRing
 
 _MASK = (1 << 64) - 1
 DRAW_CAP = 1 << 20  # most points of a random mapping or bijection, entries of a matrix
@@ -65,3 +66,13 @@ def random_bijection(alphabet: Alphabet, rng: SplitMix64) -> Mapping:
         j = rng.below(i + 1)
         images[i], images[j] = images[j], images[i]
     return Mapping(alphabet, tuple(images))
+
+
+def random_matrix(s: int, n: int, rng: SplitMix64) -> MatrixMod:
+    """An n x n matrix mod s, drawn row by row."""
+    if n < 1:
+        raise ValueError(f"dimension must be at least 1, got {n}")
+    if n * n > DRAW_CAP:
+        raise InSituError(f"a {n}x{n} matrix has {n * n} entries, "
+                          f"over the cap of {DRAW_CAP} for random draws")
+    return MatrixMod.of(ModRing.of(s), [[rng.below(s) for _ in range(n)] for _ in range(n)])

@@ -1,5 +1,7 @@
 import os
+import re
 import resource
+import shlex
 import subprocess
 import sys
 import time
@@ -8,7 +10,7 @@ import pytest
 
 import insitu
 from insitu import Alphabet, Mapping, execute_all
-from insitu import oracle
+from insitu import linmod, oracle
 from insitu.cli import EXIT_DOMAIN, EXIT_INTERNAL, EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, main
 from insitu.formats import format_mapping, format_matrix, parse_mapping, parse_program
 from insitu.linmod import MatrixMod, ModRing
@@ -372,3 +374,75 @@ def test_internal_errors_have_their_own_exit_code(tmp_path, capsys, monkeypatch)
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: internal: AssertionError: routing invariant broken\n"
+
+
+def test_random_matrix_refuses_entries_over_the_cap(capsys):
+    assert main(["random", "matrix", "--s", "2", "--n", "1025"]) == EXIT_DOMAIN
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: InSituError: a 1025x1025 matrix has 1050625 entries, "
+                            "over the cap of 1048576 for random draws\n")
+
+
+def test_linear_past_the_table_cap_checks_the_product(tmp_path, capsys, monkeypatch):
+    # 6^5 = 7776 points, over the 4096 cap: only the factor product is checked
+    matrix, prog = str(tmp_path / "m.mat"), tmp_path / "p.lin"
+    assert main(["random", "matrix", "--s", "6", "--n", "5", "--seed", "2", "-o", matrix]) == EXIT_OK
+    assert main(["compile", matrix, "--method", "linear", "--verify", "-o", str(prog)]) == EXIT_OK
+    assert capsys.readouterr().out == "product=ok (index space too large for exhaustive execution)\n"
+    assert main(["verify", str(prog), matrix]) == EXIT_OK
+    assert capsys.readouterr().out == "product=ok\n"
+    lines = prog.read_text().splitlines()
+    row = [int(tok) for tok in lines[-1].split()]
+    row[row[0]] = (row[row[0]] + 1) % 6  # the last factor's own coefficient
+    edited = write(tmp_path / "e.lin", "\n".join(lines[:-1] + [" ".join(map(str, row))]) + "\n")
+    assert main(["verify", edited, matrix]) == EXIT_MISMATCH
+    assert capsys.readouterr().out == "product=mismatch\n"
+    other_modulus = write(tmp_path / "m7.mat", "7 5\n" + "1 0 0 0 0\n" * 5)
+    other_dimension = write(tmp_path / "m4.mat", "6 4\n" + "1 0 0 0\n" * 4)
+    for target in (other_modulus, other_dimension):
+        assert main(["verify", str(prog), target]) == EXIT_DOMAIN
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: InSituError: program and matrix disagree on "
+                                "modulus or dimension\n")
+    real = linmod.decompose
+
+    def wrong(m):
+        p = real(m)
+        return linmod.LinearProgram(p.ring, p.n, p.factors[1:])
+
+    monkeypatch.setattr(linmod, "decompose", wrong)
+    out = tmp_path / "w.lin"
+    assert main(["compile", matrix, "--method", "linear", "--verify", "-o", str(out)]) == EXIT_MISMATCH
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: factor product does not equal the input matrix\n"
+    assert not out.exists()
+
+
+def _readme_sessions():
+    """Each `$` line of the README's console sessions and the text after it."""
+    readme = os.path.join(os.path.dirname(os.path.dirname(__file__)), "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        blocks = fh.read().split("```")[1::2]
+    steps = []
+    for block in blocks:
+        if not block.lstrip("\n").startswith("$ "):
+            continue
+        for chunk in ("\n" + block.strip("\n")).split("\n$ ")[1:]:
+            command, _, output = chunk.partition("\n")
+            steps.append((command, output + "\n" if output else ""))
+    return steps
+
+
+def test_readme_sessions(tmp_path):
+    steps = _readme_sessions()
+    assert len(steps) == 5
+    insitu_cmd = f"{shlex.quote(sys.executable)} -m insitu"
+    for command, expected in steps:
+        shell = re.sub(r"(^|\| )insitu ", lambda m: m.group(1) + insitu_cmd + " ", command)
+        proc = subprocess.run(shell, shell=True, cwd=tmp_path, capture_output=True, text=True,
+                              env=_child_env(), timeout=60)
+        assert (proc.returncode, proc.stderr) == (0, ""), command
+        assert proc.stdout == expected, command

@@ -1,8 +1,11 @@
+import itertools
+
 import pytest
 
-from insitu import Alphabet, BadSignature, Mapping, execute_all
+from insitu import Alphabet, BadSignature, Mapping, assignment_table, execute_all
 from insitu.benes import route_bijection
-from insitu.factor import compile_general4_sorted
+from insitu.blockseq import compile_general4_flexible
+from insitu.factor import compile_general4_sorted, compile_general5
 from insitu.linmod import MatrixMod, ModRing, coefficient_program, decompose, linear_mapping
 from insitu.minsim import (
     Min,
@@ -54,7 +57,6 @@ def test_verify_identity():
     report = verify(routing_of(p), Mapping.identity(a))
     assert report.performs
     assert report.vertex_disjoint
-    assert report.merge_profile == (0,) * 6
 
 
 def test_verify_random_bijections():
@@ -78,20 +80,51 @@ def test_verify_constant_merges_fully():
     assert report.performs
     assert not report.vertex_disjoint
     # all four paths have merged by the final stage
-    assert report.merge_profile[-1] == 3
-    assert report.merge_profile[0] == 0
+    assert len(set(report.images)) == 1
 
 
-def test_merge_profile_never_recovers_on_mappings():
-    # collisions are permanent: the profile is non-decreasing
-    a = Alphabet(2, 3)
+def _distinct_states(program):
+    """Reference trace: the number of distinct states before the first
+    step and after every step."""
+    a = program.alphabet
+    states = list(range(a.size))
+    counts = [len(states)]
+    for asg in program.assignments:
+        tab, pw = assignment_table(asg, a), a.s ** (asg.target - 1)
+        states = [v + (tab[v] - v // pw % a.s) * pw for v in states]
+        counts.append(len(set(states)))
+    return counts
+
+
+def test_merges_never_recover_and_decide_disjointness():
+    # two paths that meet at a vertex share every later vertex, so the
+    # count of distinct states never grows back, and the paths are vertex
+    # disjoint at every stage iff no step merges two of them
+    general = [compile_general5, compile_general4_sorted, compile_general4_flexible]
+    a = Alphabet(2, 2)
+    cases = [(c, Mapping(a, images)) for images in itertools.product(range(4), repeat=4)
+             for c in general]
+    for b in (Alphabet(2, 2), Alphabet(3, 1)):
+        cases += [(route_bijection, Mapping(b, perm))
+                  for perm in itertools.permutations(range(b.size))]
     rng = SplitMix64(43)
-    for _ in range(30):
-        e = random_mapping(a, rng)
-        report = verify(routing_of(compile_general4_sorted(e)), e)
+    for b, compilers in ((Alphabet(2, 3), general), (Alphabet(3, 2), general[:2])):
+        for _ in range(20):
+            e = random_mapping(b, rng)
+            cases += [(c, e) for c in compilers]
+            e = random_bijection(b, rng)
+            cases += [(c, e) for c in (*compilers, route_bijection)]
+    merged = set()
+    for compile_, e in cases:
+        p = compile_(e)
+        counts = _distinct_states(p)
+        assert all(y <= x for x, y in zip(counts, counts[1:]))
+        report = verify(p, e)
         assert report.performs
-        for x, y in zip(report.merge_profile, report.merge_profile[1:]):
-            assert y >= x
+        assert report.vertex_disjoint == all(c == e.alphabet.size for c in counts)
+        assert report.vertex_disjoint == e.is_bijective()
+        merged.add(report.vertex_disjoint)
+    assert merged == {True, False}
 
 
 def test_verify_images_match_execute_all():
@@ -127,7 +160,6 @@ def test_verify_coefficient_program_as_its_tables():
             got, want = verify(p, target), verify(tables, target)
             assert got.performs == want.performs
             assert got.vertex_disjoint == want.vertex_disjoint
-            assert got.merge_profile == want.merge_profile
             assert got.images == want.images == linear_mapping(m).images
         disjoint.append(got.vertex_disjoint)
     assert disjoint[0] is False and True in disjoint

@@ -2,7 +2,9 @@ import itertools
 
 import pytest
 
-from insitu import Alphabet, Mapping, component_permutation, oracle, permutation_length_bound
+from insitu import Alphabet, Mapping, component_permutation, linmod, oracle, permutation_length_bound
+from insitu.benes import route_bijection, route_bijection_reversed
+from insitu.cli import EXIT_MISMATCH, main
 from insitu.oracle import (
     COMPILERS,
     BudgetExceeded,
@@ -13,6 +15,7 @@ from insitu.oracle import (
     method_network,
     min_length_bfs,
 )
+from insitu.rng import SplitMix64, random_matrix
 
 
 def test_universe_sizes():
@@ -164,3 +167,57 @@ def test_suite_report_text():
     bad = SuiteReport("benes", 2, 2, 1, ("mapping (0, 1, 2, 3): boom",), ((3, 1),))
     assert not bad.ok
     assert "failure=mapping (0, 1, 2, 3): boom" in bad.to_text()
+
+
+def test_suite_reports_wrong_programs(monkeypatch, capsys):
+    a = Alphabet(2, 2)
+    ident = route_bijection(Mapping.identity(a))
+    monkeypatch.setitem(COMPILERS, "benes", lambda e: ident)
+    report = exhaustive_suite(a, "benes")
+    assert (report.total, len(report.failures)) == (24, 23)
+    assert report.failures[0] == "mapping (0, 1, 3, 2): program does not compute the mapping"
+    text = report.to_text()
+    assert "failures=23\n" in text
+    assert text.count("failure=mapping") == 20
+    assert main(["suite", "--method", "benes", "--s", "2", "--n", "2"]) == EXIT_MISMATCH
+    assert capsys.readouterr().out == text
+    monkeypatch.setitem(COMPILERS, "benes", route_bijection_reversed)
+    report = exhaustive_suite(a, "benes")
+    assert len(report.failures) == 24
+    assert report.failures[0] == "mapping (0, 1, 2, 3): signature (2, 1, 2) unexpected"
+    assert main(["suite", "--method", "benes", "--s", "2", "--n", "2"]) == EXIT_MISMATCH
+    assert capsys.readouterr().out == report.to_text()
+
+
+def test_suite_reports_wrong_factors(monkeypatch, capsys):
+    a = Alphabet(5, 2)
+    real = linmod.decompose
+
+    def dropped(m):
+        p = real(m)
+        return linmod.LinearProgram(p.ring, p.n, p.factors[:-1])
+
+    monkeypatch.setattr(linmod, "decompose", dropped)
+    report = exhaustive_suite(a, "linear", sample=30, seed=3)
+    assert (report.total, len(report.failures)) == (30, 30)
+    assert all(f.endswith(": signature (1, 2)") for f in report.failures)
+    assert report.length_counts == ((2, 30),)
+
+    def altered(m):
+        p = real(m)
+        last = p.factors[-1]
+        coeffs = list(last.coefficients)
+        coeffs[last.row - 1] = (coeffs[last.row - 1] + 1) % p.ring.s
+        fac = linmod.AssignmentMatrix(p.ring, last.row, tuple(coeffs))
+        return linmod.LinearProgram(p.ring, p.n, p.factors[:-1] + (fac,))
+
+    monkeypatch.setattr(linmod, "decompose", altered)
+    report = exhaustive_suite(a, "linear", sample=30, seed=3)
+    rng = SplitMix64(3)
+    wrong = [m for m in (random_matrix(5, 2, rng) for _ in range(30))
+             if altered(m).matrix().entries != m.entries]
+    assert 0 < len(wrong) == len(report.failures)
+    assert report.failures == tuple(f"matrix {m.entries}: product mismatch" for m in wrong)
+    assert main(["suite", "--method", "linear", "--s", "5", "--n", "2", "--sample", "30",
+                 "--seed", "3"]) == EXIT_MISMATCH
+    assert capsys.readouterr().out == report.to_text()

@@ -2,7 +2,7 @@ import pytest
 
 from insitu import Alphabet, InSituError
 from insitu.cli import EXIT_OK, main
-from insitu.rng import DRAW_CAP, SplitMix64, random_bijection, random_mapping
+from insitu.rng import DRAW_CAP, SplitMix64, random_bijection, random_mapping, random_matrix
 
 
 def test_known_stream():
@@ -78,3 +78,17 @@ def test_draws_refuse_index_spaces_over_the_cap():
         with pytest.raises(InSituError):
             draw(Alphabet(3, 40), SplitMix64(0))
     assert len(random_mapping(Alphabet(2, 10), SplitMix64(0)).images) == 1024
+
+
+def test_random_matrix_draws_row_by_row():
+    m = random_matrix(6, 3, SplitMix64(4))
+    raw = SplitMix64(4)
+    assert m.ring.s == 6 and m.n == 3
+    assert m.entries == tuple(tuple(raw.below(6) for _ in range(3)) for _ in range(3))
+    # the dimension is checked first, then the cap, then the modulus
+    with pytest.raises(ValueError, match="dimension must be at least 1, got 0"):
+        random_matrix(1, 0, SplitMix64(0))
+    with pytest.raises(InSituError, match="1050625 entries, over the cap"):
+        random_matrix(1, 1025, SplitMix64(0))
+    with pytest.raises(ValueError, match="modulus must be at least 2, got 1"):
+        random_matrix(1, 1024, SplitMix64(0))
