@@ -29,6 +29,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import compress
+from operator import itemgetter
 
 from .core import (
     Assignment,
@@ -36,6 +37,7 @@ from .core import (
     InSituProgram,
     Mapping,
     NotBijective,
+    _digit_runs,
     _program,
     component_permutation,
     step_images,
@@ -221,8 +223,8 @@ def route_bijection(e: Mapping) -> InSituProgram:
         # one edge per position p, both ends with component k removed; the
         # graph is s-regular because targets is a permutation
         colors = [-1] * a.size
-        _euler_partition(s, a.size // s, [p % pw + p // (pw * s) * pw for p in range(a.size)],
-                         [t % pw + t // (pw * s) * pw for t in targets], colors)
+        left = _digit_runs(pw, s, a.size, pw)
+        _euler_partition(s, a.size // s, left, itemgetter(*targets)(left), colors)
         moved = step_images(colors, k, a)
         back = [0] * a.size
         nxt = [0] * a.size
@@ -247,11 +249,9 @@ def route_bijection_reversed(e: Mapping) -> InSituProgram:
     """
     a = e.alphabet
     rev = component_permutation(range(a.n, 0, -1), a).images
-    conj = Mapping(a, tuple(rev[e.images[rev[x]]] for x in range(a.size)))
+    reverse = itemgetter(*rev)  # a tuple, since size >= 2
+    conj = Mapping(a, itemgetter(*reverse(e.images))(rev))
     prog = route_bijection(conj)
-    steps = tuple(
-        Assignment(a.n + 1 - asg.target,
-                   table=tuple(asg.table[rev[v]] for v in range(a.size)))
-        for asg in prog.assignments
-    )
+    steps = tuple(Assignment(a.n + 1 - asg.target, table=reverse(asg.table))
+                  for asg in prog.assignments)
     return _program(a, steps)

@@ -15,14 +15,26 @@ single vectors without materializing tables.
 The `Mapping` and `InSituProgram` constructors and the parsers check
 their input, and every program the package computes from checked input
 is built without a second check of its tables.
+
+The table kernels (coefficient tables, step images and the trace) pick
+their code by index-space size.  CPython keeps the ints up to 256 as
+shared objects, so over at most 256 indices a per-entry comprehension
+makes almost no new int and is the fastest form.  Past that, every
+intermediate value of such a comprehension is a new int; there the
+kernels pick and add existing ints with `operator.itemgetter` and
+`map(operator.add, ...)`, which costs one new int per entry at most.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add, itemgetter
 from typing import Sequence
 
 _MAX_INDEX_BITS = 64
+# the largest of CPython's cached small ints; index spaces up to this
+# size run the per-entry comprehensions (see the module docstring)
+_SMALL_INTS = 256
 
 
 class InSituError(Exception):
@@ -129,7 +141,7 @@ class Mapping:
         """self after inner: x -> self(inner(x))."""
         if inner.alphabet != self.alphabet:
             raise ValueError("alphabet mismatch in composition")
-        return Mapping(self.alphabet, tuple(self.images[y] for y in inner.images))
+        return Mapping(self.alphabet, itemgetter(*inner.images)(self.images))
 
     def inverse(self) -> "Mapping":
         if not self.is_bijective():
@@ -158,11 +170,29 @@ def assignment_table(assignment: Assignment, alphabet: Alphabet) -> tuple[int, .
     """Dense table of an assignment, materializing a linear payload if needed."""
     if assignment.table is not None:
         return assignment.table
-    # digit recurrence: extend the table by one more significant component
+    # digit recurrence: extend the table by one more significant component;
+    # its block for digit d is the table so far plus c * d, mod s
     s = alphabet.s
-    tab = [0]
-    for c in assignment.coeffs:
-        tab = tab * s if c == 0 else [(t + c * d) % s for d in range(s) for t in tab]
+    coeffs = assignment.coeffs
+    if alphabet.size <= _SMALL_INTS:
+        tab = [0]
+        for c in coeffs:
+            tab = tab * s if c == 0 else [(t + c * d) % s for d in range(s) for t in tab]
+        return tuple(tab)
+    # past the small ints each block is picked from the values rotated by
+    # c * d; the table has s entries or more before the first pick
+    values = list(range(s))
+    tab = [coeffs[0] * d % s for d in range(s)]
+    for c in coeffs[1:]:
+        if c == 0:
+            tab *= s
+            continue
+        pick = itemgetter(*tab)
+        blocks: list[int] = []
+        for d in range(s):
+            k = c * d % s
+            blocks += pick(values[k:] + values[:k])
+        tab = blocks
     return tuple(tab)
 
 
@@ -170,10 +200,51 @@ def step_images(tab: Sequence[int], target: int, alphabet: Alphabet) -> list[int
     """Where one step sends every index: component `target` of index v
     becomes tab[v], the other components stay.  This is the exchange
     between two stages of the network of a signature; every trace of a
-    program composes these lists."""
+    program composes these lists.
+
+    Up to 256 indices the comprehension makes almost no new int, since
+    CPython keeps the ints up to 256 cached.  Past that it makes several
+    new ints per entry, so there the image is the index with digit
+    `target` zeroed, each such value made once and placed s times, plus
+    tab[v] * pw, picked from the s place values: one new int per entry,
+    the sum."""
     s = alphabet.s
     pw = s ** (target - 1)
-    return [v + (tab[v] - v // pw % s) * pw for v in range(alphabet.size)]
+    size = alphabet.size
+    if size <= _SMALL_INTS:
+        return [v + (tab[v] - v // pw % s) * pw for v in range(size)]
+    return _add_place_values(_digit_runs(pw, s, size, pw * s), tab, pw, alphabet)
+
+
+def _digit_runs(pw: int, s: int, size: int, stride: int) -> list[int]:
+    # index v = lo + pw*d + pw*s*hi (lo < pw, d < s) goes to lo + stride*hi:
+    # stride pw * s zeroes the digit of place value pw, stride pw drops it.
+    # Past the small ints every value is made once and placed s times by
+    # slices, so this costs size / s new ints; the loop runs over lo or
+    # over hi, whichever is shorter
+    span = pw * s
+    if size <= _SMALL_INTS:
+        return [v % pw + v // span * stride for v in range(size)]
+    if pw * span <= size:
+        out = [0] * size
+        for lo in range(pw):
+            run = list(range(lo, lo + stride * (size // span), stride))
+            for d in range(lo, span, pw):
+                out[d::span] = run
+        return out
+    out = []
+    for start in range(0, size // span * stride, stride):
+        out += list(range(start, start + pw)) * s
+    return out
+
+
+def _add_place_values(images: Sequence[int], tab: Sequence[int], pw: int,
+                      alphabet: Alphabet) -> list[int]:
+    # images[v] + tab[v] * pw for every index v; past the small ints,
+    # tab[v] * pw is picked from the s place values, so only the sum is new
+    if alphabet.size <= _SMALL_INTS:
+        return [y + d * pw for y, d in zip(images, tab)]
+    return list(map(add, images, itemgetter(*tab)(tuple(range(0, alphabet.s * pw, pw)))))
 
 
 @dataclass(frozen=True)
@@ -258,10 +329,11 @@ def execute(program: InSituProgram, vector: Sequence[int]) -> tuple[int, ...]:
 def execute_all(program: InSituProgram) -> Mapping:
     """The mapping computed by the program, by running every input index."""
     a = program.alphabet
+    small = a.size <= _SMALL_INTS
     state = range(a.size)
     for asg in program.assignments:
         trans = step_images(assignment_table(asg, a), asg.target, a)
-        state = [trans[v] for v in state]
+        state = [trans[v] for v in state] if small else itemgetter(*state)(trans)
     return Mapping(a, tuple(state))
 
 
@@ -307,7 +379,7 @@ def _compose_steps(first: Assignment, second: Assignment, alphabet: Alphabet) ->
         return Assignment(t, coeffs=combined)
     tab2 = assignment_table(second, alphabet)
     trans = step_images(assignment_table(first, alphabet), t, alphabet)
-    return Assignment(t, table=tuple(tab2[w] for w in trans))
+    return Assignment(t, table=itemgetter(*trans)(tab2))
 
 
 def invert_program(program: InSituProgram) -> InSituProgram:

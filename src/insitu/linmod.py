@@ -21,7 +21,15 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .core import Alphabet, Assignment, InSituError, InSituProgram, Mapping, assignment_table
+from .core import (
+    Alphabet,
+    Assignment,
+    InSituError,
+    InSituProgram,
+    Mapping,
+    _add_place_values,
+    assignment_table,
+)
 from .minsim import routing_of
 
 
@@ -331,8 +339,8 @@ def linear_mapping(m: MatrixMod) -> Mapping:
     are the row tables weighted by their place values.
     """
     a = Alphabet(m.ring.s, m.n)
-    images = [0] * a.size
-    for row, pw in zip(m.entries, a.powers()):
-        tab = assignment_table(Assignment(1, coeffs=row), a)
-        images = [y + d * pw for y, d in zip(images, tab)]
+    # row 1 has place value 1, so its table starts the images
+    images = assignment_table(Assignment(1, coeffs=m.entries[0]), a)
+    for row, pw in zip(m.entries[1:], a.powers()[1:]):
+        images = _add_place_values(images, assignment_table(Assignment(1, coeffs=row), a), pw, a)
     return Mapping(a, tuple(images))

@@ -25,6 +25,7 @@ from .core import (
     InSituError,
     InSituProgram,
     Mapping,
+    _digit_runs,
     assignment_table,
     step_images,
 )
@@ -103,7 +104,7 @@ def min_length_bfs(
     checks = []
     for i, tabs in tables.items():
         pw = a.s ** (i - 1)
-        rest = [v - v // pw % a.s * pw for v in range(a.size)]
+        rest = _digit_runs(pw, a.s, a.size, pw * a.s)
         checks.append((rest, tuple(rest[t] for t in target),
                        [t // pw % a.s for t in target], tabs))
 

@@ -1,0 +1,169 @@
+"""The table kernels against the per-entry comprehensions they replaced.
+
+Past 256 indices `core` builds step images, coefficient tables and the
+trace, and `linmod` builds linear mappings, by picking and adding
+existing ints with `operator.itemgetter` and `map(operator.add, ...)`;
+up to 256 indices it keeps the comprehensions.  The references below
+are those comprehensions, used at every size, and both sides must agree
+entry for entry at shapes on either side of 256 indices.
+
+Needs only the standard library, so it also runs without pytest:
+
+    PYTHONPATH=src python tests/test_kernel_reference.py
+"""
+
+from insitu import core
+from insitu.core import Alphabet, Assignment, InSituProgram, assignment_table, execute_all, step_images
+from insitu.linmod import MatrixMod, ModRing, linear_mapping
+from insitu.rng import SplitMix64
+
+# sizes 256, 512, 243, 729, 256, 1024, 1728, 256, 289, 4096, 257 and 300
+SHAPES = [(2, 8), (2, 9), (3, 5), (3, 6), (4, 4), (4, 5), (12, 3), (16, 2), (17, 2), (2, 12),
+          (257, 1), (300, 1)]
+# coefficient rows with zero, unit and non-unit entries, on both sides of 256 indices
+ROWS = {
+    (6, 2): [(0, 5), (2, 3), (4, 0)],
+    (6, 4): [(0, 1, 2, 3), (5, 0, 4, 0), (3, 2, 0, 1), (0, 0, 0, 4)],
+    (12, 2): [(0, 6), (8, 7), (11, 0)],
+    (12, 3): [(0, 1, 6), (4, 0, 9), (5, 8, 3), (0, 0, 10)],
+    (16, 2): [(0, 8), (12, 1), (15, 0)],
+    (16, 3): [(0, 2, 15), (4, 0, 3), (7, 10, 0), (0, 0, 12)],
+}
+
+
+def _ref_step_images(tab, target, a):
+    s = a.s
+    pw = s ** (target - 1)
+    return [v + (tab[v] - v // pw % s) * pw for v in range(a.size)]
+
+
+def _ref_table(coeffs, a):
+    s = a.s
+    tab = [0]
+    for c in coeffs:
+        tab = tab * s if c == 0 else [(t + c * d) % s for d in range(s) for t in tab]
+    return tuple(tab)
+
+
+def _ref_linear_mapping(m):
+    a = Alphabet(m.ring.s, m.n)
+    images = [0] * a.size
+    for row, pw in zip(m.entries, a.powers()):
+        tab = _ref_table(row, a)
+        images = [y + d * pw for y, d in zip(images, tab)]
+    return tuple(images)
+
+
+def _ref_execute_all(program):
+    a = program.alphabet
+    state = range(a.size)
+    for asg in program.assignments:
+        tab = asg.table if asg.table is not None else _ref_table(asg.coeffs, a)
+        trans = _ref_step_images(tab, asg.target, a)
+        state = [trans[v] for v in state]
+    return tuple(state)
+
+
+def _rows(a, rng):
+    # seeded rows, then the all-zero, all-one and one-entry rows
+    rows = [tuple(rng.below(a.s) for _ in range(a.n)) for _ in range(3)]
+    rows += [(0,) * a.n, (1,) * a.n, (0,) * (a.n - 1) + (a.s - 1,)]
+    return rows + ROWS.get((a.s, a.n), [])
+
+
+def _program(a, rng):
+    # table and coefficient steps on seeded targets
+    steps = []
+    for i in range(2 * a.n + 1):
+        target = 1 + rng.below(a.n)
+        if i % 2:
+            steps.append(Assignment(target, coeffs=tuple(rng.below(a.s) for _ in range(a.n))))
+        else:
+            steps.append(Assignment(target, table=tuple(rng.below(a.s) for _ in range(a.size))))
+    return InSituProgram(a, tuple(steps))
+
+
+def _step_mismatches(shapes):
+    bad = []
+    for s, n in shapes:
+        a = Alphabet(s, n)
+        rng = SplitMix64(1000 * s + n)
+        tab = tuple(rng.below(s) for _ in range(a.size))
+        for target in range(1, n + 1):
+            if step_images(tab, target, a) != _ref_step_images(tab, target, a):
+                bad.append((s, n, target))
+    return bad
+
+
+def _trace_mismatches(shapes):
+    bad = []
+    for s, n in shapes:
+        a = Alphabet(s, n)
+        program = _program(a, SplitMix64(2000 * s + n))
+        try:
+            images = execute_all(program).images
+        except (IndexError, ValueError):  # a step sent some index out of range
+            images = None
+        if images != _ref_execute_all(program):
+            bad.append((s, n))
+    return bad
+
+
+def test_step_images_match_the_comprehension():
+    assert _step_mismatches(SHAPES) == []
+
+
+def test_coefficient_tables_match_the_digit_recurrence():
+    for s, n in SHAPES + list(ROWS):
+        a = Alphabet(s, n)
+        for row in _rows(a, SplitMix64(3000 * s + n)):
+            got = assignment_table(Assignment(1, coeffs=row), a)
+            assert got == _ref_table(row, a), (s, n, row)
+
+
+def test_linear_mappings_match_the_accumulation():
+    for s, n in SHAPES + list(ROWS):
+        a = Alphabet(s, n)
+        rng = SplitMix64(4000 * s + n)
+        ring = ModRing(s)
+        seeded = [[rng.below(s) for _ in range(n)] for _ in range(n)]
+        rows = _rows(a, rng)[3:]  # the fixed rows, repeated down the matrix
+        fixed = [rows[i % len(rows)] for i in range(n)]
+        for rows in (seeded, fixed):
+            m = MatrixMod.of(ring, rows)
+            assert linear_mapping(m).images == _ref_linear_mapping(m), (s, n, rows)
+
+
+def test_traces_match_the_gather_loop():
+    assert _trace_mismatches(SHAPES) == []
+
+
+def test_a_base_off_by_one_place_value_fails():
+    # the zeroed index of the last entry raised by one place value: the
+    # step images and the trace of every shape past 256 indices must differ
+    real = core._digit_runs
+
+    def shifted(pw, s, size, stride):
+        out = real(pw, s, size, stride)
+        out[-1] += pw
+        return out
+
+    large = [(s, n) for s, n in SHAPES if s ** n > core._SMALL_INTS]
+    core._digit_runs = shifted
+    try:
+        steps, traces = _step_mismatches(SHAPES), _trace_mismatches(SHAPES)
+    finally:
+        core._digit_runs = real
+    assert sorted({(s, n) for s, n, _ in steps}) == sorted(large)
+    assert len(steps) == sum(n for _, n in large)
+    assert sorted(traces) == sorted(large)
+
+
+if __name__ == "__main__":
+    import sys
+
+    for name, fn in list(globals().items()):
+        if name.startswith("test_"):
+            fn()
+            print(f"{name}: ok")
+    print(f"python {sys.version.split()[0]}: all kernel references agree")
