@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Sequence
 
 from . import benes
@@ -169,15 +170,14 @@ def is_suffix_compatible(mapping: Mapping) -> bool:
     for suffixes of every length.  Boolean alphabets only."""
     if mapping.alphabet.s != 2:
         raise NotBoolean("suffix compatibility is defined over {0, 1}")
-    n = mapping.alphabet.n
-    imgs = mapping.images
-    for shift in range(1, n):
-        seen: dict[int, int] = {}
-        for x, y in enumerate(imgs):
-            cls = x >> shift
-            sfx = y >> shift
-            if seen.setdefault(cls, sfx) != sfx:
-                return False
+    # cur[c] is the image suffix y >> k of every input x with x >> k == c;
+    # classes 2c and 2c + 1 merge one level up, where y >> (k + 1) must agree
+    cur = mapping.images
+    for _ in range(mapping.alphabet.n - 1):
+        halves = [y >> 1 for y in cur]
+        if halves[0::2] != halves[1::2]:
+            return False
+        cur = halves[0::2]
     return True
 
 
@@ -196,7 +196,7 @@ def compose_forward_program(mapping: Mapping, head: InSituProgram) -> InSituProg
     if not is_suffix_compatible(mapping):
         raise NotSuffixCompatible("equal suffixes must map to equal suffixes")
     target = execute_all(head)
-    composed = tuple(target.images[y] for y in mapping.images)
+    composed = itemgetter(*mapping.images)(target.images)  # a tuple, since size >= 2
     return _sweep_program(a, range(a.size), composed, range(1, a.n + 1))
 
 

@@ -16,13 +16,16 @@ The `Mapping` and `InSituProgram` constructors and the parsers check
 their input, and every program the package computes from checked input
 is built without a second check of its tables.
 
-The table kernels (coefficient tables, step images and the trace) pick
-their code by index-space size.  CPython keeps the ints up to 256 as
-shared objects, so over at most 256 indices a per-entry comprehension
-makes almost no new int and is the fastest form.  Past that, every
-intermediate value of such a comprehension is a new int; there the
-kernels pick and add existing ints with `operator.itemgetter` and
-`map(operator.add, ...)`, which costs one new int per entry at most.
+Each table kernel has one form unless measurement shows that a fork by
+size pays.  CPython keeps the ints up to 256 as shared objects, so past
+256 indices each intermediate value of a per-entry comprehension is a
+new int; there `step_images`, `_add_place_values` and the coefficient
+tables of `assignment_table` pick and add existing ints with
+`operator.itemgetter` and `map(operator.add, ...)`.  Up to 256 indices
+those three keep their comprehensions, which measured faster at 2^3 and
+3^2 on Python 3.10 to 3.13.  The trace gather (`itemgetter`) and
+`_digit_runs` (slices) have one form: at those sizes they measured no
+slower than the comprehensions they replaced, on the `suite` workload too.
 """
 
 from __future__ import annotations
@@ -32,8 +35,7 @@ from operator import add, itemgetter
 from typing import Sequence
 
 _MAX_INDEX_BITS = 64
-# the largest of CPython's cached small ints; index spaces up to this
-# size run the per-entry comprehensions (see the module docstring)
+# the largest of CPython's cached small ints (see the module docstring)
 _SMALL_INTS = 256
 
 
@@ -202,12 +204,12 @@ def step_images(tab: Sequence[int], target: int, alphabet: Alphabet) -> list[int
     between two stages of the network of a signature; every trace of a
     program composes these lists.
 
-    Up to 256 indices the comprehension makes almost no new int, since
-    CPython keeps the ints up to 256 cached.  Past that it makes several
-    new ints per entry, so there the image is the index with digit
-    `target` zeroed, each such value made once and placed s times, plus
-    tab[v] * pw, picked from the s place values: one new int per entry,
-    the sum."""
+    Up to 256 indices CPython's cached small ints make the comprehension
+    the faster form (measured on Python 3.10 to 3.13).  Past that it
+    makes several new ints per entry, so there the image is the index
+    with digit `target` zeroed, each value made once and placed s times,
+    plus tab[v] * pw, picked from the s place values: one new int per
+    entry, the sum."""
     s = alphabet.s
     pw = s ** (target - 1)
     size = alphabet.size
@@ -219,13 +221,11 @@ def step_images(tab: Sequence[int], target: int, alphabet: Alphabet) -> list[int
 def _digit_runs(pw: int, s: int, size: int, stride: int) -> list[int]:
     # index v = lo + pw*d + pw*s*hi (lo < pw, d < s) goes to lo + stride*hi:
     # stride pw * s zeroes the digit of place value pw, stride pw drops it.
-    # Past the small ints every value is made once and placed s times by
-    # slices, so this costs size / s new ints; the loop runs over lo or
-    # over hi, whichever is shorter
+    # Every value is made once and placed s times by slices, so this costs
+    # size / s new ints at every size.  The loop runs over lo or over hi,
+    # whichever is shorter, and over hi on a tie, which measured faster
     span = pw * s
-    if size <= _SMALL_INTS:
-        return [v % pw + v // span * stride for v in range(size)]
-    if pw * span <= size:
+    if pw * span < size:
         out = [0] * size
         for lo in range(pw):
             run = list(range(lo, lo + stride * (size // span), stride))
@@ -329,11 +329,10 @@ def execute(program: InSituProgram, vector: Sequence[int]) -> tuple[int, ...]:
 def execute_all(program: InSituProgram) -> Mapping:
     """The mapping computed by the program, by running every input index."""
     a = program.alphabet
-    small = a.size <= _SMALL_INTS
     state = range(a.size)
     for asg in program.assignments:
         trans = step_images(assignment_table(asg, a), asg.target, a)
-        state = [trans[v] for v in state] if small else itemgetter(*state)(trans)
+        state = itemgetter(*state)(trans)  # a tuple, since size >= 2
     return Mapping(a, tuple(state))
 
 
@@ -429,17 +428,14 @@ def cycle_program(k: int, alphabet: Alphabet) -> InSituProgram:
 def component_permutation(sources: Sequence[int], alphabet: Alphabet) -> Mapping:
     """Mapping that permutes components: output component i is input
     component sources[i-1] (1-based)."""
-    n = alphabet.n
-    if sorted(sources) != list(range(1, n + 1)):
+    sources = tuple(sources)
+    if sorted(sources) != list(range(1, alphabet.n + 1)):
         raise ValueError("sources must be a permutation of 1..n")
-    s = alphabet.s
-    pows = alphabet.powers()
-    images = []
-    for x in range(alphabet.size):
-        y = 0
-        for i, src in enumerate(sources):
-            y += (x // pows[src - 1] % s) * pows[i]
-        images.append(y)
+    # digit recurrence over input components j = 1..n: digit d of j adds d
+    # times the place value w of the output slot that reads j
+    images = [0]
+    for _, w in sorted(zip(sources, alphabet.powers())):
+        images = [y + d * w for d in range(alphabet.s) for y in images]
     return Mapping(alphabet, tuple(images))
 
 

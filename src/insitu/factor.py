@@ -58,6 +58,7 @@ def collapse_mapping(sizes: Sequence[int], alphabet: Alphabet) -> Mapping:
     sizes[t] is the length of run t; runs of size zero are allowed and
     simply skip an image.
     """
+    sizes = tuple(sizes)
     total = sum(sizes)
     if total != alphabet.size:
         raise SizesDoNotSum(f"sizes sum to {total}, index space has {alphabet.size}")

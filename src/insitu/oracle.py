@@ -105,7 +105,7 @@ def min_length_bfs(
     for i, tabs in tables.items():
         pw = a.s ** (i - 1)
         rest = _digit_runs(pw, a.s, a.size, pw * a.s)
-        checks.append((rest, tuple(rest[t] for t in target),
+        checks.append((rest, operator.itemgetter(*target)(rest),
                        [t // pw % a.s for t in target], tabs))
 
     def one_step(state):

@@ -105,6 +105,15 @@ def test_cycle_program_exhaustive(s, n, k):
     assert execute_all(p).images == want.images
 
 
+def test_component_permutation_takes_an_iterator():
+    # the sources are read once, so an iterator gives what a tuple gives
+    for s, n in [(2, 2), (3, 3)]:
+        a = Alphabet(s, n)
+        for perm in itertools.permutations(range(1, n + 1)):
+            assert component_permutation(iter(perm), a) == component_permutation(perm, a)
+    assert component_permutation(iter([2, 1]), Alphabet(2, 2)).images == (0, 2, 1, 3)
+
+
 def test_permutation_length_bound():
     assert permutation_length_bound((1, 2, 3, 4, 5)) == 0
     assert permutation_length_bound((2, 1)) == 3

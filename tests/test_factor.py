@@ -52,6 +52,15 @@ def test_collapse_mapping():
     assert m2.images == (1, 1, 1, 3, 3, 3, 3, 3)
 
 
+def test_collapse_mapping_takes_an_iterator():
+    # the sizes are read once, so an iterator gives what a tuple gives
+    a = Alphabet(2, 3)
+    for sizes in [(2, 1, 3, 2), (0, 3, 0, 5), (8,), (1,) * 8]:
+        assert collapse_mapping(iter(sizes), a) == collapse_mapping(sizes, a)
+    with pytest.raises(SizesDoNotSum):
+        collapse_mapping(iter([4, 4, 1]), a)
+
+
 def test_distance_compatibility():
     a = Alphabet(2, 2)
     assert is_distance_compatible(Mapping(a, (0, 1, 2, 3)))

@@ -1,24 +1,48 @@
-"""The table kernels against the per-entry comprehensions they replaced.
+"""The table kernels against the per-entry code they replaced.
 
-Past 256 indices `core` builds step images, coefficient tables and the
-trace, and `linmod` builds linear mappings, by picking and adding
-existing ints with `operator.itemgetter` and `map(operator.add, ...)`;
-up to 256 indices it keeps the comprehensions.  The references below
-are those comprehensions, used at every size, and both sides must agree
-entry for entry at shapes on either side of 256 indices.
+Past 256 indices `core` builds step images and coefficient tables, and
+`linmod` builds linear mappings, by picking and adding existing ints
+with `operator.itemgetter` and `map(operator.add, ...)`; up to 256
+indices those kernels keep their per-entry comprehensions.  At every
+size the trace gathers with `itemgetter`, `_digit_runs` places its runs
+by slices, `component_permutation` builds its images by a digit
+recurrence and `is_suffix_compatible` halves the images level by level.
+The references below are the per-entry comprehensions and loops, used at
+every size, and both sides must agree entry for entry at shapes from 2
+indices up to 4096, on either side of 256.
 
 Needs only the standard library, so it also runs without pytest:
 
     PYTHONPATH=src python tests/test_kernel_reference.py
 """
 
-from insitu import core
-from insitu.core import Alphabet, Assignment, InSituProgram, assignment_table, execute_all, step_images
-from insitu.linmod import MatrixMod, ModRing, linear_mapping
-from insitu.rng import SplitMix64
+import itertools
 
-# sizes 256, 512, 243, 729, 256, 1024, 1728, 256, 289, 4096, 257 and 300
-SHAPES = [(2, 8), (2, 9), (3, 5), (3, 6), (4, 4), (4, 5), (12, 3), (16, 2), (17, 2), (2, 12),
+from insitu import blockseq, core
+from insitu.blockseq import (
+    compile_general4_flexible,
+    is_suffix_compatible,
+    make_block_sequence,
+    tree_choice_count,
+)
+from insitu.core import (
+    Alphabet,
+    Assignment,
+    InSituProgram,
+    Mapping,
+    assignment_table,
+    component_permutation,
+    execute_all,
+    step_images,
+)
+from insitu.factor import collapse_mapping, factor_by_classes, preimage_classes
+from insitu.linmod import MatrixMod, ModRing, linear_mapping
+from insitu.rng import SplitMix64, random_mapping
+
+# sizes 2, 4, 8, 3, 9, 125, 216, 256, 512, 243, 729, 256, 1024, 1728, 256,
+# 289, 4096, 257 and 300
+SHAPES = [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 3), (6, 3),
+          (2, 8), (2, 9), (3, 5), (3, 6), (4, 4), (4, 5), (12, 3), (16, 2), (17, 2), (2, 12),
           (257, 1), (300, 1)]
 # coefficient rows with zero, unit and non-unit entries, on both sides of 256 indices
 ROWS = {
@@ -52,6 +76,32 @@ def _ref_linear_mapping(m):
         tab = _ref_table(row, a)
         images = [y + d * pw for y, d in zip(images, tab)]
     return tuple(images)
+
+
+def _ref_digit_runs(pw, s, size, stride):
+    span = pw * s
+    return [v % pw + v // span * stride for v in range(size)]
+
+
+def _ref_component_permutation(sources, a):
+    s = a.s
+    pows = a.powers()
+    images = []
+    for x in range(a.size):
+        y = 0
+        for i, src in enumerate(sources):
+            y += (x // pows[src - 1] % s) * pows[i]
+        images.append(y)
+    return tuple(images)
+
+
+def _ref_is_suffix_compatible(images, n):
+    for shift in range(1, n):
+        seen = {}
+        for x, y in enumerate(images):
+            if seen.setdefault(x >> shift, y >> shift) != y >> shift:
+                return False
+    return True
 
 
 def _ref_execute_all(program):
@@ -107,6 +157,105 @@ def _trace_mismatches(shapes):
         if images != _ref_execute_all(program):
             bad.append((s, n))
     return bad
+
+
+def _shuffled(values, rng):
+    values = list(values)
+    for i in range(len(values) - 1, 0, -1):
+        j = rng.below(i + 1)
+        values[i], values[j] = values[j], values[i]
+    return values
+
+
+def _suffix_images(n, rng, free_level):
+    # y >> k is a function of x >> k at every level k, the image suffix of
+    # each class one bit longer than its parent's, except that the suffixes
+    # at free_level are drawn freely: that breaks at most the check one
+    # level up, so every level of the scan is needed to see it
+    cur = [0]
+    for k in range(n - 1, -1, -1):
+        width = 1 << (n - k)
+        if k == free_level:
+            cur = [rng.below(width) for _ in range(width)]
+        else:
+            cur = [2 * cur[c >> 1] + rng.below(2) for c in range(width)]
+    return tuple(cur)
+
+
+def _flexible_collapses(e, rng):
+    # the collapses compile_general4_flexible checks, caught at the check,
+    # and the same run sizes in a seeded order and in image order
+    seen = []
+    real = blockseq.is_suffix_compatible
+
+    def record(mapping):
+        seen.append(mapping)
+        return real(mapping)
+
+    choices = [rng.below(2) == 1 for _ in range(tree_choice_count(e.alphabet.n))]
+    blockseq.is_suffix_compatible = record
+    try:
+        compile_general4_flexible(e, choices)
+    finally:
+        blockseq.is_suffix_compatible = real
+    sizes = [len(v) for v in preimage_classes(e).values()]
+    bseq, _ = make_block_sequence(sizes + [0] * (e.alphabet.size - len(sizes)))
+    seen.append(collapse_mapping(_shuffled(bseq.values, rng), e.alphabet))
+    seen.append(factor_by_classes(e).collapse)
+    return seen
+
+
+def test_digit_runs_match_the_comprehension():
+    for s, n in SHAPES:
+        size = s ** n
+        for pw in Alphabet(s, n).powers():
+            for stride in (pw, pw * s):
+                assert core._digit_runs(pw, s, size, stride) == _ref_digit_runs(pw, s, size, stride), \
+                    (s, n, pw, stride)
+
+
+def test_component_permutations_match_the_index_loop():
+    for s, n in [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3), (4, 2)]:
+        a = Alphabet(s, n)
+        for perm in itertools.permutations(range(1, n + 1)):
+            assert component_permutation(perm, a).images == _ref_component_permutation(perm, a), (s, n, perm)
+    for s, n in [(3, 6), (4, 5), (2, 11), (257, 1)]:
+        a = Alphabet(s, n)
+        rng = SplitMix64(5000 * s + n)
+        perms = [tuple(range(n, 0, -1))] + [tuple(_shuffled(range(1, n + 1), rng)) for _ in range(4)]
+        for perm in perms:
+            assert component_permutation(perm, a).images == _ref_component_permutation(perm, a), (s, n, perm)
+
+
+def test_suffix_compatibility_matches_the_dict_scan():
+    verdicts = []
+
+    def agree(mapping):
+        got = is_suffix_compatible(mapping)
+        assert got == _ref_is_suffix_compatible(mapping.images, mapping.alphabet.n), mapping
+        verdicts.append(got)
+
+    a = Alphabet(2, 2)
+    for images in itertools.product(range(4), repeat=4):
+        agree(Mapping(a, images))
+    for n in range(1, 11):
+        a = Alphabet(2, n)
+        rng = SplitMix64(6000 + n)
+        for free_level in [None] * 5 + list(range(n - 1)):
+            for _ in range(4):
+                images = _suffix_images(n, rng, free_level)
+                agree(Mapping(a, images))
+                # one image bit flipped: on a compatible mapping bit 0
+                # keeps the verdict and a higher bit b breaks levels 1..b
+                flipped = list(images)
+                flipped[rng.below(a.size)] ^= 1 << rng.below(n)
+                agree(Mapping(a, tuple(flipped)))
+        agree(random_mapping(a, rng))
+        for _ in range(6):
+            for collapse in _flexible_collapses(random_mapping(a, rng), rng):
+                agree(collapse)
+    assert verdicts.count(True) >= 250 and verdicts.count(False) >= 250, \
+        (verdicts.count(True), verdicts.count(False))
 
 
 def test_step_images_match_the_comprehension():
