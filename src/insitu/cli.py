@@ -73,14 +73,6 @@ def _write(path: str | None, text: str) -> None:
             fh.write(text)
 
 
-def _bridge(program: InSituProgram | linmod.LinearProgram) -> InSituProgram:
-    linear = isinstance(program, linmod.LinearProgram)
-    size = program.ring.s ** program.n if linear else program.alphabet.size
-    if size > _DOT_CAP:
-        raise InSituError(f"index space too large to materialize (cap {_DOT_CAP})")
-    return linmod.coefficient_program(program) if linear else program
-
-
 def _verify_program(program: InSituProgram, target: Mapping) -> tuple[bool, str]:
     report = minsim.verify(program, target)
     if not report.performs:
@@ -96,32 +88,36 @@ def _verify_program(program: InSituProgram, target: Mapping) -> tuple[bool, str]
 
 
 def _cmd_compile(args) -> int:
-    if args.method == "linear":
-        matrix = parse_matrix(_read(args.input))
-        program = linmod.decompose(matrix)
+    linear = args.method == "linear"
+    source = (parse_matrix if linear else parse_mapping)(_read(args.input))
+    size = source.ring.s ** source.n if linear else source.alphabet.size
+    if args.dot and size > _DOT_CAP:  # refused before any work or output
+        raise InSituError(f"index space too large to materialize (cap {_DOT_CAP})")
+    if linear:
+        program = linmod.decompose(source)
         out_text = format_linear_program(program)
         if args.verify:
-            if program.matrix().entries != matrix.entries:
+            if program.matrix().entries != source.entries:
                 print("error: factor product does not equal the input matrix", file=sys.stderr)
                 return EXIT_MISMATCH
-            if matrix.ring.s ** matrix.n <= _DOT_CAP:
-                ok, report = _verify_program(_bridge(program), linmod.linear_mapping(matrix))
+            if size <= _DOT_CAP:
+                ok, report = _verify_program(linmod.coefficient_program(program),
+                                             linmod.linear_mapping(source))
                 print(report)
                 if not ok:
                     return EXIT_MISMATCH
             else:
                 print("product=ok (index space too large for exhaustive execution)")
     else:
-        mapping = parse_mapping(_read(args.input))
-        program = oracle.COMPILERS[args.method](mapping)
+        program = oracle.COMPILERS[args.method](source)
         out_text = format_program(program)
         if args.verify:
-            ok, report = _verify_program(program, mapping)
+            ok, report = _verify_program(program, source)
             print(report)
             if not ok:
                 return EXIT_MISMATCH
     if args.dot:
-        routing = _bridge(program)
+        routing = linmod.coefficient_program(program) if linear else program
         network = minsim.min_of(routing.signature, routing.alphabet)
         _write(args.dot, minsim.export_dot(network, routing, labels=args.dot_labels))
     _write(args.output, out_text)
@@ -139,7 +135,8 @@ def _cmd_verify(args) -> int:
             return EXIT_MISMATCH
         print("product=ok")
         if matrix.ring.s ** matrix.n <= _DOT_CAP:
-            ok, report = _verify_program(_bridge(program), linmod.linear_mapping(matrix))
+            ok, report = _verify_program(linmod.coefficient_program(program),
+                                         linmod.linear_mapping(matrix))
             print(report)
             return EXIT_OK if ok else EXIT_MISMATCH
         return EXIT_OK

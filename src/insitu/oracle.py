@@ -4,16 +4,18 @@
 breadth-first search over compositions of single assignments, so compiler
 output lengths can be checked against the true optimum on small spaces.
 `exhaustive_suite` runs a compiler over every input (or a seeded sample)
-of an index space and checks each produced program's length, signature
-and behavior.  A program that performs a bijection merges no paths, so
-its routing is vertex disjoint without a second check.
+of an index space and checks each produced program's signature against
+its method's network, which fixes its length too, and its behavior.  A
+program that performs a bijection merges no paths, so its routing is
+vertex disjoint without a second check.  The suite streams on one
+thread: it takes one input at a time and keeps only counts and the
+first few failure texts, so its memory does not grow with the sample.
 """
 
 from __future__ import annotations
 
 import itertools
 import operator
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -34,6 +36,7 @@ from .rng import SplitMix64, random_bijection, random_mapping, random_matrix
 _FULL_UNIVERSE_CAP = 65536
 _ENUM_MAPPINGS_CAP = 4096
 _ENUM_BIJECTIONS_CAP = 5040
+_SHOWN_FAILURES = 20  # failure texts a suite report keeps, and prints
 
 
 class BudgetExceeded(InSituError):
@@ -151,12 +154,13 @@ class SuiteReport:
     s: int
     n: int
     total: int
-    failures: tuple[str, ...]
+    failure_count: int
+    shown_failures: tuple[str, ...]  # the first _SHOWN_FAILURES of them, as printed
     length_counts: tuple[tuple[int, int], ...]
 
     @property
     def ok(self) -> bool:
-        return not self.failures
+        return not self.failure_count
 
     @property
     def max_length(self) -> int:
@@ -168,12 +172,12 @@ class SuiteReport:
             f"s={self.s}",
             f"n={self.n}",
             f"total={self.total}",
-            f"failures={len(self.failures)}",
+            f"failures={self.failure_count}",
             f"max_length={self.max_length}",
         ]
         for length, count in self.length_counts:
             lines.append(f"length_{length}={count}")
-        for text in self.failures[:20]:
+        for text in self.shown_failures:
             lines.append(f"failure={text}")
         return "\n".join(lines) + "\n"
 
@@ -202,12 +206,22 @@ def method_network(method: str, alphabet: Alphabet) -> minsim.Min:
     raise ValueError(f"unknown compiler {method!r}")
 
 
-def _check_mapping_program(network, program, e):
+def _check_linear(network, m):
+    p = linmod.decompose(m)
+    if p.signature != network.signature:
+        return len(p), f"matrix {m.entries}: signature {p.signature}"
+    if p.matrix().entries != m.entries:
+        return len(p), f"matrix {m.entries}: product mismatch"
+    return len(p), None
+
+
+def _check_mapping(network, compile_, e):
+    program = compile_(e)
     if program.signature != network.signature:
-        return f"signature {program.signature} unexpected"
+        return len(program), f"mapping {e.images}: signature {program.signature} unexpected"
     if not minsim.verify(program, e).performs:
-        return "program does not compute the mapping"
-    return None
+        return len(program), f"mapping {e.images}: program does not compute the mapping"
+    return len(program), None
 
 
 def exhaustive_suite(
@@ -222,51 +236,56 @@ def exhaustive_suite(
     compiler is one of benes, general5, general4-sorted, general4-flex,
     linear.  Without `sample`, the universe is enumerated exhaustively
     when small enough (all bijections / all mappings / otherwise an
-    explicit sample is required).  Results are deterministic for a given
-    (alphabet, compiler, sample, seed).
+    explicit sample is required), and linear draws 1000 matrices.
+    Results are deterministic for a given (alphabet, compiler, sample,
+    seed).
+
+    Inputs are enumerated or drawn one at a time, and each is compiled,
+    checked and counted before the next is made, so memory stays flat in
+    the sample size: the report keeps the length counts, the failure
+    count and the first `_SHOWN_FAILURES` failure texts.  The suite runs
+    on one thread: a pool would take every input up front, and the work
+    holds the GIL anyway.  `workers` accepts only 1, for callers that
+    still pass it.
     """
+    if workers != 1:
+        raise ValueError(f"the suite runs on one thread; workers must be 1, got {workers}")
     network = method_network(compiler, alphabet)
     if sample is not None and sample < 0:
         raise ValueError(f"sample size must not be negative, got {sample}")
     size = alphabet.size
-
-    if compiler == "linear":
-        count = sample if sample is not None else 1000
-        rng = SplitMix64(seed)
-        inputs = [random_matrix(alphabet.s, alphabet.n, rng) for _ in range(count)]
-
-        def run_linear(m):
-            p = linmod.decompose(m)
-            if p.signature != network.signature:
-                return len(p), f"matrix {m.entries}: signature {p.signature}"
-            if p.matrix().entries != m.entries:
-                return len(p), f"matrix {m.entries}: product mismatch"
-            return len(p), None
-
-        results = _run(run_linear, inputs, workers)
-        return _report(compiler, alphabet, results)
-
     bijective = compiler == "benes"
-    if sample is None:
-        if bijective and _product_leq(range(2, size + 1), _ENUM_BIJECTIONS_CAP):
-            inputs = [Mapping(alphabet, perm) for perm in itertools.permutations(range(size))]
-        elif not bijective and _product_leq(itertools.repeat(size, size), _ENUM_MAPPINGS_CAP):
-            inputs = [Mapping(alphabet, images)
-                      for images in itertools.product(range(size), repeat=size)]
-        else:
-            raise ValueError("universe too large; pass a sample size")
-    else:
+    if compiler == "linear":
+        rng = SplitMix64(seed)
+        inputs = (random_matrix(alphabet.s, alphabet.n, rng)
+                  for _ in range(1000 if sample is None else sample))
+    elif sample is not None:
         rng = SplitMix64(seed)
         draw = random_bijection if bijective else random_mapping
-        inputs = [draw(alphabet, rng) for _ in range(sample)]
+        inputs = (draw(alphabet, rng) for _ in range(sample))
+    elif bijective and _product_leq(range(2, size + 1), _ENUM_BIJECTIONS_CAP):
+        inputs = (Mapping(alphabet, perm) for perm in itertools.permutations(range(size)))
+    elif not bijective and _product_leq(itertools.repeat(size, size), _ENUM_MAPPINGS_CAP):
+        inputs = (Mapping(alphabet, images)
+                  for images in itertools.product(range(size), repeat=size))
+    else:
+        raise ValueError("universe too large; pass a sample size")
 
-    def run_clean(e):
-        program = COMPILERS[compiler](e)
-        fail = _check_mapping_program(network, program, e)
-        return len(program), (f"mapping {e.images}: {fail}" if fail else None)
-
-    results = _run(run_clean, inputs, workers)
-    return _report(compiler, alphabet, results)
+    if compiler == "linear":
+        results = (_check_linear(network, m) for m in inputs)
+    else:
+        results = (_check_mapping(network, COMPILERS[compiler], e) for e in inputs)
+    counts: dict[int, int] = {}
+    failure_count = 0
+    shown: list[str] = []
+    for length, fail in results:
+        counts[length] = counts.get(length, 0) + 1
+        if fail:
+            failure_count += 1
+            if len(shown) < _SHOWN_FAILURES:
+                shown.append(fail)
+    return SuiteReport(compiler, alphabet.s, alphabet.n, sum(counts.values()), failure_count,
+                       tuple(shown), tuple(sorted(counts.items())))
 
 
 def _product_leq(factors: Iterable[int], cap: int) -> bool:
@@ -278,27 +297,3 @@ def _product_leq(factors: Iterable[int], cap: int) -> bool:
         if total > cap:
             return False
     return True
-
-
-def _run(fn, inputs, workers):
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, inputs))
-    return [fn(x) for x in inputs]
-
-
-def _report(compiler, alphabet, results):
-    counts: dict[int, int] = {}
-    failures = []
-    for length, fail in results:
-        counts[length] = counts.get(length, 0) + 1
-        if fail:
-            failures.append(fail)
-    return SuiteReport(
-        compiler=compiler,
-        s=alphabet.s,
-        n=alphabet.n,
-        total=len(results),
-        failures=tuple(failures),
-        length_counts=tuple(sorted(counts.items())),
-    )

@@ -14,6 +14,7 @@ from insitu import linmod, oracle
 from insitu.cli import EXIT_DOMAIN, EXIT_INTERNAL, EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, main
 from insitu.formats import format_mapping, format_matrix, parse_mapping, parse_program
 from insitu.linmod import MatrixMod, ModRing
+from insitu.rng import SplitMix64, random_matrix
 
 
 def write(path, text):
@@ -65,15 +66,20 @@ def test_compile_writes_dot(tmp_path, capsys):
 
 
 def test_compile_dot_caps_table_programs(tmp_path, capsys):
-    # 2^13 points: over the rendering cap, as for linear programs
+    # 2^13 and 5^6 points: over the rendering cap, which is checked before
+    # compiling, so --verify prints no report ahead of the refusal
     src = write(tmp_path / "id.map", "2 13\n" + " ".join(map(str, range(2 ** 13))) + "\n")
+    mat = write(tmp_path / "m.mat", format_matrix(random_matrix(5, 6, SplitMix64(1))))
     dot = tmp_path / "net.dot"
     out = tmp_path / "p.prog"
-    assert main(["compile", src, "--method", "benes", "--dot", str(dot),
-                 "-o", str(out)]) == EXIT_DOMAIN
-    assert "cap 4096" in capsys.readouterr().err
-    assert not dot.exists()
-    assert not out.exists()
+    for argv in ([src, "--method", "benes"], [src, "--method", "general5", "--verify"],
+                 [mat, "--method", "linear", "--verify"]):
+        assert main(["compile", *argv, "--dot", str(dot), "-o", str(out)]) == EXIT_DOMAIN
+        captured = capsys.readouterr()
+        assert "cap 4096" in captured.err
+        assert captured.out == ""
+        assert not dot.exists()
+        assert not out.exists()
 
 
 def test_compile_each_method(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import pytest
 
@@ -141,10 +142,28 @@ def test_suite_linear():
     assert report.max_length <= 3
 
 
-def test_suite_workers_agree():
-    solo = exhaustive_suite(Alphabet(2, 2), "general4-flex", workers=1)
-    multi = exhaustive_suite(Alphabet(2, 2), "general4-flex", workers=4)
-    assert solo == multi
+def test_suite_runs_on_one_worker():
+    with pytest.raises(ValueError, match="workers must be 1"):
+        exhaustive_suite(Alphabet(2, 2), "general4-flex", workers=4)
+
+
+def test_suite_memory_is_flat_in_the_sample():
+    # each 2^10 input holds about 33 KB of images; a suite that kept its
+    # inputs or results would grow by that much per input, a streaming one
+    # peaks at one input's compile whatever the sample size
+    a = Alphabet(2, 10)
+    exhaustive_suite(a, "benes", sample=1)  # fill lazy caches before measuring
+
+    def peak(k):
+        tracemalloc.start()
+        try:
+            assert exhaustive_suite(a, "benes", sample=k, seed=5).total == k
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak(3), peak(15)
+    assert large - small < 64 * 1024, (small, large)
 
 
 def test_suite_requires_sample_on_big_universes():
@@ -157,15 +176,18 @@ def test_suite_requires_sample_on_big_universes():
 
 
 def test_suite_report_text():
-    report = SuiteReport("benes", 2, 2, 24, (), ((3, 24),))
+    report = SuiteReport("benes", 2, 2, 24, failure_count=0, shown_failures=(),
+                         length_counts=((3, 24),))
     text = report.to_text()
     assert "compiler=benes" in text
     assert "total=24" in text
     assert "failures=0" in text
     assert "max_length=3" in text
     assert "length_3=24" in text
-    bad = SuiteReport("benes", 2, 2, 1, ("mapping (0, 1, 2, 3): boom",), ((3, 1),))
+    bad = SuiteReport("benes", 2, 2, 1, failure_count=1,
+                      shown_failures=("mapping (0, 1, 2, 3): boom",), length_counts=((3, 1),))
     assert not bad.ok
+    assert "failures=1\n" in bad.to_text()
     assert "failure=mapping (0, 1, 2, 3): boom" in bad.to_text()
 
 
@@ -174,8 +196,10 @@ def test_suite_reports_wrong_programs(monkeypatch, capsys):
     ident = route_bijection(Mapping.identity(a))
     monkeypatch.setitem(COMPILERS, "benes", lambda e: ident)
     report = exhaustive_suite(a, "benes")
-    assert (report.total, len(report.failures)) == (24, 23)
-    assert report.failures[0] == "mapping (0, 1, 3, 2): program does not compute the mapping"
+    assert (report.total, report.failure_count) == (24, 23)
+    wrong = [p for p in itertools.permutations(range(4)) if p != (0, 1, 2, 3)]
+    assert report.shown_failures == tuple(
+        f"mapping {p}: program does not compute the mapping" for p in wrong[:20])
     text = report.to_text()
     assert "failures=23\n" in text
     assert text.count("failure=mapping") == 20
@@ -183,8 +207,10 @@ def test_suite_reports_wrong_programs(monkeypatch, capsys):
     assert capsys.readouterr().out == text
     monkeypatch.setitem(COMPILERS, "benes", route_bijection_reversed)
     report = exhaustive_suite(a, "benes")
-    assert len(report.failures) == 24
-    assert report.failures[0] == "mapping (0, 1, 2, 3): signature (2, 1, 2) unexpected"
+    assert report.failure_count == 24
+    assert report.shown_failures == tuple(
+        f"mapping {p}: signature (2, 1, 2) unexpected"
+        for p in itertools.islice(itertools.permutations(range(4)), 20))
     assert main(["suite", "--method", "benes", "--s", "2", "--n", "2"]) == EXIT_MISMATCH
     assert capsys.readouterr().out == report.to_text()
 
@@ -199,8 +225,11 @@ def test_suite_reports_wrong_factors(monkeypatch, capsys):
 
     monkeypatch.setattr(linmod, "decompose", dropped)
     report = exhaustive_suite(a, "linear", sample=30, seed=3)
-    assert (report.total, len(report.failures)) == (30, 30)
-    assert all(f.endswith(": signature (1, 2)") for f in report.failures)
+    assert (report.total, report.failure_count) == (30, 30)
+    rng = SplitMix64(3)
+    drawn = [random_matrix(5, 2, rng) for _ in range(30)]
+    assert report.shown_failures == tuple(
+        f"matrix {m.entries}: signature (1, 2)" for m in drawn[:20])
     assert report.length_counts == ((2, 30),)
 
     def altered(m):
@@ -213,11 +242,10 @@ def test_suite_reports_wrong_factors(monkeypatch, capsys):
 
     monkeypatch.setattr(linmod, "decompose", altered)
     report = exhaustive_suite(a, "linear", sample=30, seed=3)
-    rng = SplitMix64(3)
-    wrong = [m for m in (random_matrix(5, 2, rng) for _ in range(30))
-             if altered(m).matrix().entries != m.entries]
-    assert 0 < len(wrong) == len(report.failures)
-    assert report.failures == tuple(f"matrix {m.entries}: product mismatch" for m in wrong)
+    wrong = [m for m in drawn if altered(m).matrix().entries != m.entries]
+    assert 0 < len(wrong) == report.failure_count
+    assert report.shown_failures == tuple(
+        f"matrix {m.entries}: product mismatch" for m in wrong[:20])
     assert main(["suite", "--method", "linear", "--s", "5", "--n", "2", "--sample", "30",
                  "--seed", "3"]) == EXIT_MISMATCH
     assert capsys.readouterr().out == report.to_text()
