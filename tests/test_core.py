@@ -195,6 +195,30 @@ def test_mapping_rejects_non_integer_images():
         Mapping(a, (0, 1, 2))
 
 
+def test_range_errors_name_the_first_offender():
+    # one range check serves tables, coefficient rows and images; however
+    # it tests the values, the message names the first offender in order
+    a = Alphabet(2, 2)
+    cases = [
+        (lambda: InSituProgram(a, (Assignment(1, table=(0, 3, -1, 1)),)),
+         "assignment 0: table value 3 out of range [0, 2)"),
+        (lambda: InSituProgram(a, (Assignment(1, table=(0, -1, 3, 1)),)),
+         "assignment 0: table value -1 out of range [0, 2)"),
+        (lambda: InSituProgram(Alphabet(2, 3), (Assignment(2, coeffs=(0, 3, -1)),)),
+         "assignment 0: coefficient 3 out of range [0, 2)"),
+        (lambda: InSituProgram(Alphabet(5, 3), (Assignment(2, coeffs=(0, -1, 7)),)),
+         "assignment 0: coefficient -1 out of range [0, 5)"),
+        (lambda: Mapping(a, (0, 9, -1, 1)), "image 9 out of range [0, 4)"),
+        (lambda: Mapping(Alphabet(2, 3), (0, 9, -1, 1, 2, 3, 4, 5)),
+         "image 9 out of range [0, 8)"),
+        (lambda: Mapping(a, (0, -1, 9, 1)), "image -1 out of range [0, 4)"),
+    ]
+    for build, message in cases:
+        with pytest.raises(ValueError) as err:
+            build()
+        assert str(err.value) == message
+
+
 def test_tables_are_checked_only_where_programs_enter(monkeypatch):
     # programs the package computes from checked mappings and programs
     # skip the table check; parsed and hand-built programs do not

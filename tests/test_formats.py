@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from insitu import Alphabet, Assignment, InSituProgram, Mapping
@@ -134,6 +136,21 @@ def test_negative_counts_are_parse_errors():
     assert exc.value.line == 2
     assert len(parse_program("program 2 2 0\n")) == 0
     assert len(parse_program("linear 5 2 0\n")) == 0
+
+
+def test_program_header_alone_builds_no_name_table():
+    # the digit names are built only when the unread tokens hold a whole
+    # table; a million names would take about 100 MB here
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError) as exc:
+            parse_program("program 1000000 1 1\n1 0")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(exc.value) == "line 2: unexpected end of input, expected assignment 1 value"
+    assert exc.value.line == 2
+    assert peak < 1 << 20, peak
 
 
 def test_linear_coefficients_are_reduced():

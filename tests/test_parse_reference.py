@@ -124,8 +124,10 @@ def ref_parse_program(text):
 # break at (\x1f, \xa0, \u3000), which must not start a new line
 SEPARATORS = [" ", "\t", "\n", "\r", "\r\n", "\n\r", "\x0b", "\x0c", "\x1c", "\x1d",
               "\x1e", "\x1f", "\x85", "\xa0", "\u2028", "\u2029", "\u3000", " \n ", "\n\n"]
+# the in-range spellings of 0 and 1 other than "0" and "1" switch a table
+# from the digit-name lookup to the int() reading part-way through
 JUNK = ["x", "1.5", "0x1", "--1", "+3", "-0", "1_0", "_1", "\u0663", "1e3", "program",
-        "linear", "prog", "9" * 5000]
+        "linear", "prog", "9" * 5000, "00", "01", "+1", "0_1", "\uff11", "\u0661"]
 
 
 def _token(draw, bound):
@@ -226,3 +228,18 @@ def test_error_lines_follow_every_line_break():
                                  (parse_matrix, ref_parse_matrix)):
             new, ref = _outcome(parse, text), _outcome(reference, text)
             assert new == ref and new[0] == "error" and new[1][1] == 3, (sep, new)
+
+
+def test_tables_with_other_spellings_match_reference():
+    # "01", "+1" and a fullwidth 1 are not digit names, so the table is read
+    # again through int(); the result is the reference's either way
+    text = "program 2 2 1\n1 1 01 +1 \uff11\n"
+    new = _outcome(parse_program, text)
+    assert new == _outcome(ref_parse_program, text)
+    assert new[1].assignments[0].table == (1, 1, 1, 1)
+    # a value out of range has no digit name, so it is read through int()
+    # and fails with the message and line it failed with before
+    text = "program 2 2 2\n1 0 1 1 0\n2 0 2\n1 0\n"
+    new = _outcome(parse_program, text)
+    assert new == _outcome(ref_parse_program, text)
+    assert new == ("error", ("line 4: assignment 1: table value 2 out of range [0, 2)", 4))
