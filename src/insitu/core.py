@@ -19,13 +19,14 @@ is built without a second check of its tables.
 Each table kernel has one form unless measurement shows that a fork by
 size pays.  CPython keeps the ints up to 256 as shared objects, so past
 256 indices each intermediate value of a per-entry comprehension is a
-new int; there `step_images`, `_add_place_values` and the coefficient
-tables of `assignment_table` pick and add existing ints with
-`operator.itemgetter` and `map(operator.add, ...)`.  Up to 256 indices
-those three keep their comprehensions, which measured faster at 2^3 and
-3^2 on Python 3.10 to 3.13.  The trace gather (`itemgetter`) and
-`_digit_runs` (slices) have one form: at those sizes they measured no
-slower than the comprehensions they replaced, on the `suite` workload too.
+new int; the kernels instead pick and add existing ints with
+`operator.itemgetter` and `map(operator.add, ...)`.  `step_images` is
+the one kernel that keeps a comprehension up to 256 indices: the suite
+traces programs at 8 and 9 indices and the oracle at 4 to 8, and with
+the builtin form there the benchmark's seven suite calls took 10% longer
+(median of 12 alternating runs, Python 3.11).  The coefficient tables of
+`assignment_table`, `_add_place_values`, the trace gather and
+`_digit_runs` have one form at every size.
 """
 
 from __future__ import annotations
@@ -35,7 +36,8 @@ from operator import add, itemgetter
 from typing import Sequence
 
 _MAX_INDEX_BITS = 64
-# the largest of CPython's cached small ints (see the module docstring)
+# the largest of CPython's cached small ints; up to this many indices
+# `step_images` keeps its comprehension (see the module docstring)
 _SMALL_INTS = 256
 
 
@@ -131,9 +133,6 @@ class Mapping:
     def identity(cls, alphabet: Alphabet) -> "Mapping":
         return cls(alphabet, tuple(range(alphabet.size)))
 
-    def apply(self, index: int) -> int:
-        return self.images[index]
-
     def is_bijective(self) -> bool:
         return len(set(self.images)) == len(self.images)
 
@@ -171,16 +170,11 @@ def assignment_table(assignment: Assignment, alphabet: Alphabet) -> tuple[int, .
     if assignment.table is not None:
         return assignment.table
     # digit recurrence: extend the table by one more significant component;
-    # its block for digit d is the table so far plus c * d, mod s
+    # its block for digit d is the table so far plus c * d, mod s, picked
+    # from the values rotated by c * d.  The table has s entries or more
+    # before the first pick, so each pick gives a tuple
     s = alphabet.s
     coeffs = assignment.coeffs
-    if alphabet.size <= _SMALL_INTS:
-        tab = [0]
-        for c in coeffs:
-            tab = tab * s if c == 0 else [(t + c * d) % s for d in range(s) for t in tab]
-        return tuple(tab)
-    # past the small ints each block is picked from the values rotated by
-    # c * d; the table has s entries or more before the first pick
     values = list(range(s))
     tab = [coeffs[0] * d % s for d in range(s)]
     for c in coeffs[1:]:
@@ -202,18 +196,20 @@ def step_images(tab: Sequence[int], target: int, alphabet: Alphabet) -> list[int
     between two stages of the network of a signature; every trace of a
     program composes these lists.
 
-    Up to 256 indices CPython's cached small ints make the comprehension
-    the faster form (measured on Python 3.10 to 3.13).  Past that it
-    makes several new ints per entry, so there the image is the index
-    with digit `target` zeroed, each value made once and placed s times,
-    plus tab[v] * pw, picked from the s place values: one new int per
-    entry, the sum."""
+    This is the one table kernel with a fork by size.  Up to 256 indices
+    CPython's cached small ints make the comprehension the faster form,
+    and the suite and oracle trace there: forcing the builtin form made a
+    run of the suite's benchmark calls 10% slower.  Past that the
+    comprehension makes several new ints per entry, so there the image is
+    the index with digit `target` zeroed, each value made once and placed
+    s times, plus tab[v] * pw, picked from the s place values: one new
+    int per entry, the sum."""
     s = alphabet.s
     pw = s ** (target - 1)
     size = alphabet.size
     if size <= _SMALL_INTS:
         return [v + (tab[v] - v // pw % s) * pw for v in range(size)]
-    return _add_place_values(_digit_runs(pw, s, size, pw * s), tab, pw, alphabet)
+    return _add_place_values(_digit_runs(pw, s, size, pw * s), tab, pw, s)
 
 
 def _digit_runs(pw: int, s: int, size: int, stride: int) -> list[int]:
@@ -237,12 +233,10 @@ def _digit_runs(pw: int, s: int, size: int, stride: int) -> list[int]:
 
 
 def _add_place_values(images: Sequence[int], tab: Sequence[int], pw: int,
-                      alphabet: Alphabet) -> list[int]:
-    # images[v] + tab[v] * pw for every index v; past the small ints,
-    # tab[v] * pw is picked from the s place values, so only the sum is new
-    if alphabet.size <= _SMALL_INTS:
-        return [y + d * pw for y, d in zip(images, tab)]
-    return list(map(add, images, itemgetter(*tab)(tuple(range(0, alphabet.s * pw, pw)))))
+                      s: int) -> list[int]:
+    # images[v] + tab[v] * pw for every index v; tab[v] * pw is picked from
+    # the s place values, so only the sum is new
+    return list(map(add, images, itemgetter(*tab)(tuple(range(0, s * pw, pw)))))
 
 
 @dataclass(frozen=True)

@@ -342,5 +342,5 @@ def linear_mapping(m: MatrixMod) -> Mapping:
     # row 1 has place value 1, so its table starts the images
     images = assignment_table(Assignment(1, coeffs=m.entries[0]), a)
     for row, pw in zip(m.entries[1:], a.powers()[1:]):
-        images = _add_place_values(images, assignment_table(Assignment(1, coeffs=row), a), pw, a)
+        images = _add_place_values(images, assignment_table(Assignment(1, coeffs=row), a), pw, a.s)
     return Mapping(a, tuple(images))

@@ -1,0 +1,163 @@
+"""A table of mutants: small edits to the package that named tests must catch.
+
+Each row names a file under `src`, an exact text that occurs there once,
+the text that replaces it, and the test IDs that must fail after the
+edit.  For each row the script copies `src`, `tests` and `pyproject.toml`
+into a temporary directory, so that the ini's `pythonpath = ["src"]`
+points at the copy, applies the edit, checks that `insitu` imports from
+the copy, and runs each named test there with `-x` under a timeout; a
+timeout counts as caught.  Before the rows, every named test must pass
+on an unedited copy, so a test that fails anyway cannot stand for a
+catch.  The script never edits a test.
+
+It exits 1 if a mutant survives, and 2 if the table cannot run: a row's
+old text does not occur exactly once, a named test does not pass
+unedited, or `insitu` imports from somewhere else.  A refactor that
+moves a row's text updates the row.  Mutants that only swap equivalent
+forms (a size threshold moved from 256 to 512) change no output and have
+no row.  Needs the standard library and pytest:
+
+    python tests/mutants.py
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+TIMEOUT_S = 60
+
+# (what the edit breaks, file, old text, new text, tests that must fail)
+MUTANTS = [
+    ("invert_program returns each step unchanged",
+     "src/insitu/core.py",
+     "        steps.append(Assignment(asg.target, table=tuple(inv)))",
+     "        steps.append(asg)",
+     ["tests/test_core.py::test_invert_program_at_every_s"]),
+    ("invert_program drops the unfilled-slot check",
+     "src/insitu/core.py",
+     "        if None in inv:",
+     "        if False:",
+     ["tests/test_core.py::test_reverse_decides_bijectivity_step_by_step"]),
+    ("verify always reports vertex-disjoint paths",
+     "src/insitu/minsim.py",
+     "got.images == tuple(mapping.images), got.is_bijective(), got.images)",
+     "got.images == tuple(mapping.images), True, got.images)",
+     ["tests/test_minsim.py::test_verify_constant_merges_fully"]),
+    ("the suite never checks what a program computes",
+     "src/insitu/oracle.py",
+     "    if not minsim.verify(program, e).performs:",
+     "    if False:",
+     ["tests/test_oracle.py::test_suite_reports_wrong_programs"]),
+    ("is_suffix_compatible skips one halving level",
+     "src/insitu/blockseq.py",
+     "    for _ in range(mapping.alphabet.n - 1):",
+     "    for _ in range(mapping.alphabet.n - 2):",
+     ["tests/test_kernel_reference.py::test_suffix_compatibility_matches_the_dict_scan"]),
+    ("is_suffix_compatible compares cur without >> 1",
+     "src/insitu/blockseq.py",
+     "        if halves[0::2] != halves[1::2]:",
+     "        if cur[0::2] != cur[1::2]:",
+     ["tests/test_blockseq.py::test_is_suffix_compatible"]),
+    ("a table token outside the digit names raises instead of reading int()",
+     "src/insitu/formats.py",
+     "            except KeyError:",
+     "            except IndexError:",
+     ["tests/test_parse_reference.py::test_tables_with_other_spellings_match_reference"]),
+    # one form serves both sides of 256 indices, so each of the next two
+    # rows names a test on each side
+    ("assignment_table rotates the values the wrong way",
+     "src/insitu/core.py",
+     "            k = c * d % s",
+     "            k = -c * d % s",
+     ["tests/test_core.py::test_cycle_program_exhaustive[3-3-2]",
+      "tests/test_linmod.py::test_linear_mapping_matches_matrix_action[4-6]"]),
+    ("_add_place_values picks from the place values reversed",
+     "src/insitu/core.py",
+     "tuple(range(0, s * pw, pw))",
+     "tuple(range(0, s * pw, pw))[::-1]",
+     ["tests/test_linmod.py::test_to_in_situ_matches_matrix",
+      "tests/test_linmod.py::test_linear_mapping_matches_matrix_action[4-6]"]),
+]
+
+
+def _abort(message):
+    print(message)
+    sys.exit(2)
+
+
+def _copy(dest):
+    skip = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
+    for name in ("src", "tests"):
+        shutil.copytree(os.path.join(REPO, name), os.path.join(dest, name), ignore=skip)
+    shutil.copy(os.path.join(REPO, "pyproject.toml"), dest)
+
+
+def _run(copy, args, timeout=None):
+    env = dict(os.environ, PYTHONPATH=os.path.join(copy, "src"))
+    return subprocess.run([sys.executable, *args], cwd=copy, env=env,
+                          capture_output=True, text=True, timeout=timeout)
+
+
+def _pytest(copy, test_ids):
+    return _run(copy, ["-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *test_ids],
+                timeout=TIMEOUT_S)
+
+
+def _check_imports_from(copy):
+    found = _run(copy, ["-c", "import insitu; print(insitu.__file__)"]).stdout.strip()
+    src = os.path.join(os.path.realpath(copy), "src") + os.sep
+    if not os.path.realpath(found).startswith(src):
+        _abort(f"insitu imports from {found!r}, not from the copy {src}")
+
+
+def _apply(copy, path, old, new):
+    full = os.path.join(copy, path)
+    with open(full, encoding="utf-8") as f:
+        text = f.read()
+    if text.count(old) != 1:
+        _abort(f"row no longer applies: {path} holds {old!r} {text.count(old)} times")
+    with open(full, "w", encoding="utf-8") as f:
+        f.write(text.replace(old, new))
+
+
+def main():
+    for _, path, _, _, _ in MUTANTS:
+        if not path.startswith("src/"):
+            _abort(f"mutants edit the package only, not {path}")
+    ids = sorted({t for row in MUTANTS for t in row[4]})
+    with tempfile.TemporaryDirectory() as copy:
+        _copy(copy)
+        _check_imports_from(copy)
+        try:
+            base = _pytest(copy, ids)
+        except subprocess.TimeoutExpired:
+            _abort(f"the named tests take over {TIMEOUT_S} s on the unedited copy")
+        if base.returncode != 0:
+            print(base.stdout[-3000:])
+            _abort("a named test does not pass on the unedited copy")
+    survived = 0
+    for what, path, old, new, tests in MUTANTS:
+        with tempfile.TemporaryDirectory() as copy:
+            _copy(copy)
+            _apply(copy, path, old, new)
+            _check_imports_from(copy)
+            for test in tests:
+                try:
+                    code = _pytest(copy, [test]).returncode
+                except subprocess.TimeoutExpired:
+                    print(f"caught: {what}: {test} timed out after {TIMEOUT_S} s")
+                    continue
+                if code not in (0, 1):
+                    _abort(f"row no longer applies: pytest exited {code} on {test}")
+                survived += code == 0
+                print(f"{'SURVIVED' if code == 0 else 'caught'}: {what}: {test} "
+                      f"{'passed' if code == 0 else 'failed'}")
+    print(f"{len(MUTANTS)} mutants, {survived} named tests passed a mutant")
+    sys.exit(1 if survived else 0)
+
+
+if __name__ == "__main__":
+    main()

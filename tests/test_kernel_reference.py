@@ -1,9 +1,9 @@
 """The table kernels against the per-entry code they replaced.
 
-Past 256 indices `core` builds step images and coefficient tables, and
-`linmod` builds linear mappings, by picking and adding existing ints
-with `operator.itemgetter` and `map(operator.add, ...)`; up to 256
-indices those kernels keep their per-entry comprehensions.  At every
+`core` builds coefficient tables, and `linmod` builds linear mappings,
+by picking and adding existing ints with `operator.itemgetter` and
+`map(operator.add, ...)` at every size.  Step images do the same past
+256 indices and keep their per-entry comprehension up to 256.  At every
 size the trace gathers with `itemgetter`, `_digit_runs` places its runs
 by slices, `component_permutation` builds its images by a digit
 recurrence and `is_suffix_compatible` halves the images level by level.

@@ -14,7 +14,12 @@ Z/2 at n = 3, where no matrix needs more than 4 factors.  Counting only
 its non-identity factors, `decompose` is at most 1 factor above the
 optimum at n = 2 and at most 2 over Z/2 at n = 3.
 
-Needs only the standard library, so it also runs without pytest:
+`WIDE_CENSUS` goes one notch further, to Z/3 at n = 3 and Z/2 at n = 4:
+no matrix needs more than 4 and 6 factors, again below 2n - 1, and
+`decompose` is at most 2 and 3 factors above the optimum.  It takes
+about half a minute, so `check_wide_census` is left out of the pytest
+run; running the file runs it after the tests.  Needs only the standard
+library, so it also runs without pytest:
 
     PYTHONPATH=src python tests/test_linear_census.py
 """
@@ -35,6 +40,11 @@ CENSUS = {
     (6, 2): ((1, 70, 1000, 225), 1017, 1),
     (8, 2): ((1, 126, 3528, 441), 3225, 1),
     (2, 3): ((1, 21, 135, 304, 51), 352, 2),
+}
+# the same, for the entries that take seconds each
+WIDE_CENSUS = {
+    (3, 3): ((1, 78, 1920, 16444, 1240), 12257, 2),
+    (2, 4): ((1, 60, 1254, 11772, 44142, 8304, 3), 26806, 3),
 }
 
 
@@ -69,8 +79,8 @@ def exact_lengths(s, n):
     return dist
 
 
-def test_census_reaches_every_matrix_with_pinned_lengths():
-    for (s, n), (histogram, _, _) in CENSUS.items():
+def check_histograms(census):
+    for (s, n), (histogram, _, _) in census.items():
         dist = exact_lengths(s, n)
         assert len(dist) == s ** (n * n), (s, n)
         counts = [0] * (max(dist.values()) + 1)
@@ -85,8 +95,8 @@ def test_two_n_minus_one_is_tight_at_n2_but_not_over_z2_at_n3():
     assert max(exact_lengths(2, 3).values()) == 4 < 2 * 3 - 1
 
 
-def test_decompose_against_the_census():
-    for (s, n), (_, optimal, excess) in CENSUS.items():
+def check_decompose(census):
+    for (s, n), (_, optimal, excess) in census.items():
         ring = ModRing.of(s)
         ident = identity_rows(n)
         hits, worst = 0, 0
@@ -101,12 +111,25 @@ def test_decompose_against_the_census():
         assert (hits, worst) == (optimal, excess), (s, n, hits, worst)
 
 
+def test_census_reaches_every_matrix_with_pinned_lengths():
+    check_histograms(CENSUS)
+
+
+def test_decompose_against_the_census():
+    check_decompose(CENSUS)
+
+
+def check_wide_census():
+    check_histograms(WIDE_CENSUS)
+    check_decompose(WIDE_CENSUS)
+
+
 if __name__ == "__main__":
     import sys
     import time
 
     for name, fn in list(globals().items()):
-        if name.startswith("test_"):
+        if name.startswith("test_") or name == "check_wide_census":
             start = time.perf_counter()
             fn()
             print(f"{name}: ok ({time.perf_counter() - start:.2f} s)")
