@@ -236,7 +236,8 @@ def route_bijection(e: Mapping) -> InSituProgram:
         up.append(Assignment(k, table=tuple(colors)))
         down.append(Assignment(k, table=tuple(back)))
         targets = nxt
-    middle = Assignment(a.n, table=tuple(t // s ** (a.n - 1) for t in targets))
+    top = s ** (a.n - 1)
+    middle = Assignment(a.n, table=tuple(t // top for t in targets))
     return _program(a, (*up, middle, *reversed(down)))
 
 

@@ -60,13 +60,14 @@ def collapse_mapping(sizes: Sequence[int], alphabet: Alphabet) -> Mapping:
     """
     sizes = tuple(sizes)
     total = sum(sizes)
-    if total != alphabet.size:
-        raise SizesDoNotSum(f"sizes sum to {total}, index space has {alphabet.size}")
+    size = alphabet.size
+    if total != size:
+        raise SizesDoNotSum(f"sizes sum to {total}, index space has {size}")
     images: list[int] = []
     for t, v in enumerate(sizes):
         if v < 0:
             raise SizesDoNotSum(f"negative run size {v}")
-        if v and t >= alphabet.size:
+        if v and t >= size:
             raise ValueError(f"run {t} is outside the index space")
         images.extend([t] * v)
     return Mapping(alphabet, tuple(images))

@@ -197,7 +197,7 @@ def parse_program(text: str) -> InSituProgram | LinearProgram:
         if not 1 <= row <= n:
             raise ParseError(f"factor {k + 1} row {row} out of range [1, {n}]", toks.last_line)
         coeffs = tuple(c % ring.s for c in toks.ints(n, lambda _: f"factor {k + 1} coefficient"))
-        factors.append(AssignmentMatrix(ring, row, coeffs))
+        factors.append(AssignmentMatrix(row, coeffs))
     toks.expect_end()
     return LinearProgram(ring, n, tuple(factors))
 

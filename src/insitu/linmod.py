@@ -42,12 +42,12 @@ class NotInvertible(InSituError):
 
 
 class DimensionMismatch(InSituError):
-    """Factors must share one ring and one dimension."""
+    """Matrices and factors must agree on their size."""
 
 
 @dataclass(frozen=True)
 class ModRing:
-    """The ring Z/sZ.  Units and inverses come from gcds; s is never factored."""
+    """The ring Z/sZ and its one unit test and inverse, by gcds (s is never factored)."""
 
     s: int
 
@@ -95,26 +95,25 @@ class MatrixMod:
 
 @dataclass(frozen=True)
 class AssignmentMatrix:
-    """Identity except for one row (1-based `row`)."""
+    """Identity except for one row (1-based `row`); the ring is its program's."""
 
-    ring: ModRing
     row: int
     coefficients: tuple[int, ...]
 
-    def as_matrix(self) -> MatrixMod:
+    def as_matrix(self, ring: ModRing) -> MatrixMod:
         n = len(self.coefficients)
         rows = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
         rows[self.row - 1] = list(self.coefficients)
-        return MatrixMod.of(self.ring, rows)
+        return MatrixMod.of(ring, rows)
 
 
-def identity_row(ring: ModRing, row: int, n: int) -> AssignmentMatrix:
-    return AssignmentMatrix(ring, row, tuple(1 if j == row - 1 else 0 for j in range(n)))
+def identity_row(row: int, n: int) -> AssignmentMatrix:
+    return AssignmentMatrix(row, tuple(1 if j == row - 1 else 0 for j in range(n)))
 
 
 @dataclass(frozen=True)
 class LinearProgram:
-    """Assignment matrices in application order (first applied first)."""
+    """Assignment matrices over `ring` in application order (first applied first)."""
 
     ring: ModRing
     n: int
@@ -122,8 +121,8 @@ class LinearProgram:
 
     def __post_init__(self) -> None:
         for fac in self.factors:
-            if fac.ring != self.ring or len(fac.coefficients) != self.n:
-                raise DimensionMismatch("factor does not match the program's ring or size")
+            if len(fac.coefficients) != self.n:
+                raise DimensionMismatch("factor does not match the program's size")
             if not 1 <= fac.row <= self.n:
                 raise DimensionMismatch(f"row {fac.row} out of range")
 
@@ -139,23 +138,13 @@ class LinearProgram:
         return product(reversed(self.factors), self.ring, self.n)
 
 
-def product(factors: Iterable[AssignmentMatrix], ring: ModRing | None = None,
-            n: int | None = None) -> MatrixMod:
-    """Matrix product of assignment matrices, leftmost factor first.
-
-    `ring` and `n` are only needed for an empty product.
-    """
-    factors = tuple(factors)
-    if factors:
-        ring = factors[0].ring
-        n = len(factors[0].coefficients)
-    elif ring is None or n is None:
-        raise DimensionMismatch("empty product needs an explicit ring and size")
+def product(factors: Iterable[AssignmentMatrix], ring: ModRing, n: int) -> MatrixMod:
+    """Product over `ring` of n x n assignment matrices, leftmost factor first."""
     s = ring.s
     acc = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    for fac in reversed(factors):
-        if fac.ring != ring or len(fac.coefficients) != n:
-            raise DimensionMismatch("factors disagree on ring or size")
+    for fac in reversed(tuple(factors)):
+        if len(fac.coefficients) != n:
+            raise DimensionMismatch("factor does not match the product's size")
         k = fac.row - 1
         live = [(c, acc[j]) for j, c in enumerate(fac.coefficients) if c]
         acc[k] = [sum(c * row[l] for c, row in live) % s for l in range(n)]
@@ -192,7 +181,7 @@ def unit_multipliers(xs: Sequence[int], i0: int, ring: ModRing) -> tuple[int, ..
     k = i0 - 1
 
     def ok(lam: Sequence[int]) -> bool:
-        return math.gcd(sum(l * x for l, x in zip(lam, scaled)), s) == 1
+        return ring.is_unit(sum(l * x for l, x in zip(lam, scaled)))
 
     lam = [0] * len(reps)
     lam[k] = 1
@@ -238,9 +227,9 @@ def decompose(m: MatrixMod) -> LinearProgram:
         if all(v == 0 for v in column[k:]):
             # nothing to divide out: consume row k as-is (diagonal entry is
             # zero, so this factor is never invertible), reset row to identity
-            uphill.append(AssignmentMatrix(ring, k + 1, tuple(M[k])))
+            uphill.append(AssignmentMatrix(k + 1, tuple(M[k])))
             if k < n - 1:
-                downhill.append(identity_row(ring, k + 1, n))
+                downhill.append(identity_row(k + 1, n))
             M[k] = [1 if j == k else 0 for j in range(n)]
             continue
 
@@ -253,19 +242,18 @@ def decompose(m: MatrixMod) -> LinearProgram:
             lam = unit_multipliers(column, k + 1, ring)
             new_row = [sum(lam[l] * M[l][j] for l in range(n)) for j in range(n)]
             downhill.append(AssignmentMatrix(
-                ring, k + 1,
-                tuple(1 if j == k else -lam[j] % s for j in range(n))))
+                k + 1, tuple(1 if j == k else -lam[j] % s for j in range(n))))
         else:
             new_row = list(M[k])
             if k < n - 1:
-                downhill.append(identity_row(ring, k + 1, n))
+                downhill.append(identity_row(k + 1, n))
 
         # divide column k by g; pick the representative of the diagonal whose
         # quotient is a unit (quotients of representatives differ by s/d)
         u = (new_row[k] // g) % s
         step = s // d
         for _ in range(d):
-            if math.gcd(u, s) == 1:
+            if ring.is_unit(u):
                 break
             u = (u + step) % s
         else:
@@ -275,14 +263,14 @@ def decompose(m: MatrixMod) -> LinearProgram:
         u_row[k] = u
         r_row = list(u_row)
         r_row[k] = u * g % s
-        uphill.append(AssignmentMatrix(ring, k + 1, tuple(r_row)))
+        uphill.append(AssignmentMatrix(k + 1, tuple(r_row)))
 
         # residual: divide column k, then eliminate row k by column operations
         M[k] = list(u_row)
         for j in range(n):
             if j != k:
                 M[j][k] = (M[j][k] // g) % s
-        ainv = pow(u, -1, s)
+        ainv = ring.inverse(u)
         for row in M:
             ck = row[k]
             if ck:
@@ -303,18 +291,19 @@ def invert_linear_program(p: LinearProgram) -> LinearProgram:
     """Program computing the inverse map: reverse the factors and invert
     each assignment row (x_k := a^-1 (x_k - rest)); every diagonal entry
     must be a unit."""
-    s = p.ring.s
+    ring = p.ring
+    s = ring.s
     out = []
     for fac in reversed(p.factors):
         k = fac.row - 1
         a = fac.coefficients[k]
-        if math.gcd(a, s) != 1:
+        if not ring.is_unit(a):
             raise NotInvertible(f"diagonal entry {a} of row {fac.row} is not a unit mod {s}")
-        ainv = pow(a, -1, s)
+        ainv = ring.inverse(a)
         coeffs = tuple(ainv if j == k else -ainv * c % s
                        for j, c in enumerate(fac.coefficients))
-        out.append(AssignmentMatrix(p.ring, fac.row, coeffs))
-    return LinearProgram(p.ring, p.n, tuple(out))
+        out.append(AssignmentMatrix(fac.row, coeffs))
+    return LinearProgram(ring, p.n, tuple(out))
 
 
 def coefficient_program(p: LinearProgram) -> InSituProgram:

@@ -80,6 +80,24 @@ MUTANTS = [
      "tuple(range(0, s * pw, pw))[::-1]",
      ["tests/test_linmod.py::test_to_in_situ_matches_matrix",
       "tests/test_linmod.py::test_linear_mapping_matches_matrix_action[4-6]"]),
+    # a linear program holds its ring once, so each size check and the unit
+    # test below is the only copy of its fact
+    ("product skips its factor-size check",
+     "src/insitu/linmod.py",
+     "        if len(fac.coefficients) != n:",
+     "        if False:",
+     ["tests/test_linmod.py::test_product_empty"]),
+    ("LinearProgram skips its size check",
+     "src/insitu/linmod.py",
+     "            if len(fac.coefficients) != self.n:",
+     "            if False:",
+     ["tests/test_linmod.py::test_linear_program_validation"]),
+    ("ModRing.is_unit calls every residue a unit",
+     "src/insitu/linmod.py",
+     "        return math.gcd(x, self.s) == 1",
+     "        return True",
+     ["tests/test_linmod.py::test_unit_multipliers_single_term",
+      "tests/test_linmod.py::test_invert_rejects_non_units"]),
 ]
 
 

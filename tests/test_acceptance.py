@@ -268,9 +268,9 @@ def test_criterion_4_matrix_decomposition():
     if len(p12.factors) != 3 or p12.matrix().entries != m12.entries:
         failures.append("Z/12 example did not decompose into 3 verified factors")
     printed = LinearProgram(ring12, 2, (
-        AssignmentMatrix(ring12, 1, (10, 9)),   # x1 := 10*x1 + 9*x2
-        AssignmentMatrix(ring12, 2, (3, 1)),    # x2 := 3*x1 + x2
-        AssignmentMatrix(ring12, 1, (1, 11)),   # x1 := x1 - x2
+        AssignmentMatrix(1, (10, 9)),   # x1 := 10*x1 + 9*x2
+        AssignmentMatrix(2, (3, 1)),    # x2 := 3*x1 + x2
+        AssignmentMatrix(1, (1, 11)),   # x1 := x1 - x2
     ))
     if execute_all(to_in_situ(printed)).images != linear_mapping(m12).images:
         failures.append("printed Z/12 program does not execute as the matrix")

@@ -83,21 +83,21 @@ def test_matrix_mod():
 
 def test_assignment_matrix():
     r = ModRing.of(7)
-    f = AssignmentMatrix(r, 2, (3, 4, 1))
-    m = f.as_matrix()
+    f = AssignmentMatrix(2, (3, 4, 1))
+    m = f.as_matrix(r)
     assert m.entries == ((1, 0, 0), (3, 4, 1), (0, 0, 1))
-    assert identity_row(r, 1, 2).as_matrix().entries == ((1, 0), (0, 1))
+    assert identity_row(1, 2).as_matrix(r).entries == ((1, 0), (0, 1))
 
 
 def test_product_order():
     # leftmost factor is applied last, matching matrix notation
     r = ModRing.of(10)
-    f1 = AssignmentMatrix(r, 1, (2, 0))
-    f2 = AssignmentMatrix(r, 2, (1, 1))
-    left = product([f1, f2])
-    assert left.entries == naive_product([f1.as_matrix(), f2.as_matrix()], r, 2).entries
-    right = product([f2, f1])
-    assert right.entries == naive_product([f2.as_matrix(), f1.as_matrix()], r, 2).entries
+    f1 = AssignmentMatrix(1, (2, 0))
+    f2 = AssignmentMatrix(2, (1, 1))
+    left = product([f1, f2], r, 2)
+    assert left.entries == naive_product([f1.as_matrix(r), f2.as_matrix(r)], r, 2).entries
+    right = product([f2, f1], r, 2)
+    assert right.entries == naive_product([f2.as_matrix(r), f1.as_matrix(r)], r, 2).entries
     assert left.entries != right.entries
 
 
@@ -105,7 +105,7 @@ def test_product_empty():
     r = ModRing.of(3)
     assert product([], r, 2).entries == ((1, 0), (0, 1))
     with pytest.raises(DimensionMismatch):
-        product([])
+        product([AssignmentMatrix(1, (1, 0, 0))], r, 2)
 
 
 def test_product_random_against_naive():
@@ -113,11 +113,10 @@ def test_product_random_against_naive():
     for s in (2, 6, 12):
         r = ModRing.of(s)
         for n in (1, 2, 3, 4):
-            facs = [AssignmentMatrix(r, rng.below(n) + 1,
-                                     tuple(rng.below(s) for _ in range(n)))
+            facs = [AssignmentMatrix(rng.below(n) + 1, tuple(rng.below(s) for _ in range(n)))
                     for _ in range(6)]
-            want = naive_product([f.as_matrix() for f in facs], r, n)
-            assert product(facs).entries == want.entries
+            want = naive_product([f.as_matrix(r) for f in facs], r, n)
+            assert product(facs, r, n).entries == want.entries
 
 
 def test_unit_multipliers_single_term():
@@ -291,7 +290,7 @@ def test_decompose_random(s):
             assert len(p) <= 2 * n - 1
             assert p.signature == up_down(n)
             assert p.matrix().entries == m.entries
-            want = naive_product([f.as_matrix() for f in reversed(p.factors)], r, n)
+            want = naive_product([f.as_matrix(r) for f in reversed(p.factors)], r, n)
             assert want.entries == m.entries
 
 
@@ -307,8 +306,8 @@ def test_invert_round_trip():
         p = decompose(m)
         q = invert_linear_program(p)
         assert q.signature == tuple(reversed(p.signature))
-        prod = naive_product([f.as_matrix() for f in reversed(q.factors)]
-                             + [f.as_matrix() for f in reversed(p.factors)], r, 4)
+        prod = naive_product([f.as_matrix(r) for f in reversed(q.factors)]
+                             + [f.as_matrix(r) for f in reversed(p.factors)], r, 4)
         assert prod.entries == MatrixMod.identity(r, 4).entries
 
 
@@ -332,8 +331,8 @@ def test_invertibility_matches_determinant():
             if invertible:
                 q = invert_linear_program(p)
                 prod = naive_product(
-                    [f.as_matrix() for f in reversed(q.factors)]
-                    + [f.as_matrix() for f in reversed(p.factors)], r, 3)
+                    [f.as_matrix(r) for f in reversed(q.factors)]
+                    + [f.as_matrix(r) for f in reversed(p.factors)], r, 3)
                 assert prod.entries == MatrixMod.identity(r, 3).entries
             else:
                 with pytest.raises(NotInvertible):
@@ -354,11 +353,9 @@ def test_to_in_situ_matches_matrix():
 def test_linear_program_validation():
     r = ModRing.of(5)
     with pytest.raises(DimensionMismatch):
-        LinearProgram(r, 2, (AssignmentMatrix(r, 3, (1, 0)),))
+        LinearProgram(r, 2, (AssignmentMatrix(3, (1, 0)),))
     with pytest.raises(DimensionMismatch):
-        LinearProgram(r, 2, (AssignmentMatrix(r, 1, (1, 0, 0)),))
-    with pytest.raises(DimensionMismatch):
-        LinearProgram(ModRing.of(7), 2, (AssignmentMatrix(r, 1, (1, 0)),))
+        LinearProgram(r, 2, (AssignmentMatrix(1, (1, 0, 0)),))
 
 
 def test_large_modulus_executes_on_vectors():

@@ -237,7 +237,7 @@ def test_suite_reports_wrong_factors(monkeypatch, capsys):
         last = p.factors[-1]
         coeffs = list(last.coefficients)
         coeffs[last.row - 1] = (coeffs[last.row - 1] + 1) % p.ring.s
-        fac = linmod.AssignmentMatrix(p.ring, last.row, tuple(coeffs))
+        fac = linmod.AssignmentMatrix(last.row, tuple(coeffs))
         return linmod.LinearProgram(p.ring, p.n, p.factors[:-1] + (fac,))
 
     monkeypatch.setattr(linmod, "decompose", altered)

@@ -115,7 +115,7 @@ def ref_parse_program(text):
         if not 1 <= row <= n:
             raise ParseError(f"factor {k + 1} row {row} out of range [1, {n}]", toks.last_line)
         coeffs = tuple(toks.next_int(f"factor {k + 1} coefficient") % ring.s for _ in range(n))
-        factors.append(AssignmentMatrix(ring, row, coeffs))
+        factors.append(AssignmentMatrix(row, coeffs))
     toks.expect_end()
     return LinearProgram(ring, n, tuple(factors))
 
