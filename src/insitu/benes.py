@@ -38,7 +38,7 @@ from .core import (
     Mapping,
     NotBijective,
     _digit_runs,
-    _program,
+    _unchecked,
     component_permutation,
     step_images,
 )
@@ -238,7 +238,7 @@ def route_bijection(e: Mapping) -> InSituProgram:
         targets = nxt
     top = s ** (a.n - 1)
     middle = Assignment(a.n, table=tuple(t // top for t in targets))
-    return _program(a, (*up, middle, *reversed(down)))
+    return _unchecked(InSituProgram, a, (*up, middle, *reversed(down)))
 
 
 def route_bijection_reversed(e: Mapping) -> InSituProgram:
@@ -251,8 +251,8 @@ def route_bijection_reversed(e: Mapping) -> InSituProgram:
     a = e.alphabet
     rev = component_permutation(range(a.n, 0, -1), a).images
     reverse = itemgetter(*rev)  # a tuple, since size >= 2
-    conj = Mapping(a, itemgetter(*reverse(e.images))(rev))
+    conj = _unchecked(Mapping, a, itemgetter(*reverse(e.images))(rev))
     prog = route_bijection(conj)
     steps = tuple(Assignment(a.n + 1 - asg.target, table=reverse(asg.table))
                   for asg in prog.assignments)
-    return _program(a, steps)
+    return _unchecked(InSituProgram, a, steps)

@@ -25,7 +25,7 @@ from .core import (
     InSituProgram,
     Mapping,
     NotBoolean,
-    _program,
+    _unchecked,
     concat,
     execute_all,
     merge_adjacent,
@@ -242,7 +242,7 @@ def compile_general4_flexible(
     fac = factor_by_classes(e, tuple(slots))
     g = benes.route_bijection(fac.pre)
     f = benes.route_bijection(fac.post)
-    head = _program(a, f.assignments[:a.n])
+    head = _unchecked(InSituProgram, a, f.assignments[:a.n])
     mid = compose_forward_program(fac.collapse, head)
-    tail = _program(a, f.assignments[a.n:])
+    tail = _unchecked(InSituProgram, a, f.assignments[a.n:])
     return merge_adjacent(concat(g, mid, tail))

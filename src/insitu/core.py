@@ -13,8 +13,9 @@ what lets programs over huge index spaces (e.g. Z/101^8) execute on
 single vectors without materializing tables.
 
 The `Mapping` and `InSituProgram` constructors and the parsers check
-their input, and every program the package computes from checked input
-is built without a second check of its tables.
+their input; every mapping or program the package computes from checked
+input skips that check.  `linmod.coefficient_program` alone checks what
+it derives, as a `LinearProgram` does not check its coefficient types.
 
 Each table kernel has one form unless measurement shows that a fork by
 size pays.  CPython keeps the ints up to 256 as shared objects, so past
@@ -131,7 +132,7 @@ class Mapping:
 
     @classmethod
     def identity(cls, alphabet: Alphabet) -> "Mapping":
-        return cls(alphabet, tuple(range(alphabet.size)))
+        return _unchecked(cls, alphabet, tuple(range(alphabet.size)))
 
     def is_bijective(self) -> bool:
         return len(set(self.images)) == len(self.images)
@@ -140,7 +141,7 @@ class Mapping:
         """self after inner: x -> self(inner(x))."""
         if inner.alphabet != self.alphabet:
             raise ValueError("alphabet mismatch in composition")
-        return Mapping(self.alphabet, itemgetter(*inner.images)(self.images))
+        return _unchecked(Mapping, self.alphabet, itemgetter(*inner.images)(self.images))
 
     def inverse(self) -> "Mapping":
         if not self.is_bijective():
@@ -148,7 +149,7 @@ class Mapping:
         inv = [0] * len(self.images)
         for x, y in enumerate(self.images):
             inv[y] = x
-        return Mapping(self.alphabet, tuple(inv))
+        return _unchecked(Mapping, self.alphabet, tuple(inv))
 
 
 @dataclass(frozen=True)
@@ -271,13 +272,13 @@ class InSituProgram:
         return tuple(asg.target for asg in self.assignments)
 
 
-def _program(alphabet: Alphabet, assignments: tuple[Assignment, ...]) -> InSituProgram:
-    # a program whose steps the package computed from checked mappings or
+def _unchecked(cls: type, alphabet: Alphabet, payload: tuple) -> Mapping | InSituProgram:
+    # a mapping or program the package computed from checked mappings or
     # programs is valid by construction, so it skips the entry check
-    program = object.__new__(InSituProgram)
-    object.__setattr__(program, "alphabet", alphabet)
-    object.__setattr__(program, "assignments", assignments)
-    return program
+    value = object.__new__(cls)
+    object.__setattr__(value, "alphabet", alphabet)
+    object.__setattr__(value, cls.__match_args__[1], payload)  # images or assignments
+    return value
 
 
 def _check_ints(values: Sequence[int], what: str) -> None:
@@ -335,7 +336,7 @@ def execute_all(program: InSituProgram) -> Mapping:
     for asg in program.assignments:
         trans = step_images(assignment_table(asg, a), asg.target, a)
         state = itemgetter(*state)(trans)  # a tuple, since size >= 2
-    return Mapping(a, tuple(state))
+    return _unchecked(Mapping, a, tuple(state))
 
 
 def concat(*programs: InSituProgram) -> InSituProgram:
@@ -348,7 +349,7 @@ def concat(*programs: InSituProgram) -> InSituProgram:
         if p.alphabet != a:
             raise ValueError("alphabet mismatch in concatenation")
         parts.extend(p.assignments)
-    return _program(a, tuple(parts))
+    return _unchecked(InSituProgram, a, tuple(parts))
 
 
 def merge_adjacent(program: InSituProgram) -> InSituProgram:
@@ -363,7 +364,7 @@ def merge_adjacent(program: InSituProgram) -> InSituProgram:
             merged[-1] = _compose_steps(merged[-1], asg, a)
         else:
             merged.append(asg)
-    return _program(a, tuple(merged))
+    return _unchecked(InSituProgram, a, tuple(merged))
 
 
 def _compose_steps(first: Assignment, second: Assignment, alphabet: Alphabet) -> Assignment:
@@ -404,7 +405,7 @@ def invert_program(program: InSituProgram) -> InSituProgram:
         if None in inv:  # some slot got two preimages, so another got none
             raise NotBijective("program does not compute a bijection")
         steps.append(Assignment(asg.target, table=tuple(inv)))
-    return _program(a, tuple(steps))
+    return _unchecked(InSituProgram, a, tuple(steps))
 
 
 def cycle_program(k: int, alphabet: Alphabet) -> InSituProgram:
@@ -424,7 +425,7 @@ def cycle_program(k: int, alphabet: Alphabet) -> InSituProgram:
     for target in range(k, 1, -1):
         steps.append(Assignment(target, coeffs=fold))
     steps.append(Assignment(1, coeffs=fold))
-    return _program(alphabet, tuple(steps))
+    return _unchecked(InSituProgram, alphabet, tuple(steps))
 
 
 def component_permutation(sources: Sequence[int], alphabet: Alphabet) -> Mapping:
@@ -438,7 +439,7 @@ def component_permutation(sources: Sequence[int], alphabet: Alphabet) -> Mapping
     images = [0]
     for _, w in sorted(zip(sources, alphabet.powers())):
         images = [y + d * w for d in range(alphabet.s) for y in images]
-    return Mapping(alphabet, tuple(images))
+    return _unchecked(Mapping, alphabet, tuple(images))
 
 
 def permutation_length_bound(perm: Sequence[int]) -> int:
@@ -503,6 +504,6 @@ def regroup(program: InSituProgram, group_size: int) -> InSituProgram:
     steps = []
     for reg, chunk in runs:
         shift = reg * group_size
-        images = execute_all(_program(a, tuple(chunk))).images
+        images = execute_all(_unchecked(InSituProgram, a, tuple(chunk))).images
         steps.append(Assignment(reg + 1, table=tuple(w >> shift & mask for w in images)))
-    return _program(wide, tuple(steps))
+    return _unchecked(InSituProgram, wide, tuple(steps))

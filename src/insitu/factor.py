@@ -30,7 +30,7 @@ from .core import (
     InSituError,
     InSituProgram,
     Mapping,
-    _program,
+    _unchecked,
     concat,
     merge_adjacent,
 )
@@ -70,7 +70,7 @@ def collapse_mapping(sizes: Sequence[int], alphabet: Alphabet) -> Mapping:
         if v and t >= size:
             raise ValueError(f"run {t} is outside the index space")
         images.extend([t] * v)
-    return Mapping(alphabet, tuple(images))
+    return _unchecked(Mapping, alphabet, tuple(images))
 
 
 def is_distance_compatible(mapping: Mapping) -> bool:
@@ -121,7 +121,7 @@ def _sweep_program(alphabet: Alphabet, sources: Sequence[int], targets: Sequence
         steps.append(Assignment(j, table=tuple(
             d if d >= 0 else p // pw % s for p, d in enumerate(tab))))
         positions = moved
-    return _program(alphabet, tuple(steps))
+    return _unchecked(InSituProgram, alphabet, tuple(steps))
 
 
 def backward_restricted_program(mapping: Mapping, lo: int, hi: int) -> InSituProgram:
@@ -203,7 +203,8 @@ def factor_by_classes(e: Mapping, slots: Sequence[int | None] | None = None) -> 
             post_images[t] = y
     spare = iter(sorted(set(range(a.size)) - set(classes)))
     filled = tuple(y if y is not None else next(spare) for y in post_images)
-    return ClassFactorisation(Mapping(a, tuple(pre_images)), collapse, Mapping(a, filled), slots)
+    pre = _unchecked(Mapping, a, tuple(pre_images))
+    return ClassFactorisation(pre, collapse, _unchecked(Mapping, a, filled), slots)
 
 
 def compile_general5(e: Mapping, slots: Sequence[int | None] | None = None) -> InSituProgram:

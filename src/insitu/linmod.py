@@ -28,6 +28,7 @@ from .core import (
     InSituProgram,
     Mapping,
     _add_place_values,
+    _unchecked,
     assignment_table,
 )
 from .minsim import routing_of
@@ -332,4 +333,4 @@ def linear_mapping(m: MatrixMod) -> Mapping:
     images = assignment_table(Assignment(1, coeffs=m.entries[0]), a)
     for row, pw in zip(m.entries[1:], a.powers()[1:]):
         images = _add_place_values(images, assignment_table(Assignment(1, coeffs=row), a), pw, a.s)
-    return Mapping(a, tuple(images))
+    return _unchecked(Mapping, a, tuple(images))

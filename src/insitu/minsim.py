@@ -28,7 +28,7 @@ from .core import (
     BadSignature,
     InSituProgram,
     Mapping,
-    _program,
+    _unchecked,
     assignment_table,
     execute_all,
     vector_of,
@@ -96,7 +96,7 @@ def routing_of(program: InSituProgram) -> InSituProgram:
     """The same program with every step as a table: the edge each vertex
     takes at each stage of the network of its signature."""
     a = program.alphabet
-    return _program(a, tuple(
+    return _unchecked(InSituProgram, a, tuple(
         Assignment(asg.target, table=assignment_table(asg, a)) for asg in program.assignments))
 
 

@@ -28,6 +28,7 @@ from .core import (
     InSituProgram,
     Mapping,
     _digit_runs,
+    _unchecked,
     assignment_table,
     step_images,
 )
@@ -264,9 +265,10 @@ def exhaustive_suite(
         draw = random_bijection if bijective else random_mapping
         inputs = (draw(alphabet, rng) for _ in range(sample))
     elif bijective and _product_leq(range(2, size + 1), _ENUM_BIJECTIONS_CAP):
-        inputs = (Mapping(alphabet, perm) for perm in itertools.permutations(range(size)))
+        inputs = (_unchecked(Mapping, alphabet, perm)
+                  for perm in itertools.permutations(range(size)))
     elif not bijective and _product_leq(itertools.repeat(size, size), _ENUM_MAPPINGS_CAP):
-        inputs = (Mapping(alphabet, images)
+        inputs = (_unchecked(Mapping, alphabet, images)
                   for images in itertools.product(range(size), repeat=size))
     else:
         raise ValueError("universe too large; pass a sample size")

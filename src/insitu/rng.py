@@ -16,7 +16,7 @@ same way.
 
 from __future__ import annotations
 
-from .core import Alphabet, InSituError, Mapping
+from .core import Alphabet, InSituError, Mapping, _unchecked
 from .linmod import MatrixMod, ModRing
 
 _MASK = (1 << 64) - 1
@@ -55,7 +55,7 @@ def _drawable_size(alphabet: Alphabet) -> int:
 
 def random_mapping(alphabet: Alphabet, rng: SplitMix64) -> Mapping:
     size = _drawable_size(alphabet)
-    return Mapping(alphabet, tuple(rng.below(size) for _ in range(size)))
+    return _unchecked(Mapping, alphabet, tuple(rng.below(size) for _ in range(size)))
 
 
 def random_bijection(alphabet: Alphabet, rng: SplitMix64) -> Mapping:
@@ -65,7 +65,7 @@ def random_bijection(alphabet: Alphabet, rng: SplitMix64) -> Mapping:
     for i in range(size - 1, 0, -1):
         j = rng.below(i + 1)
         images[i], images[j] = images[j], images[i]
-    return Mapping(alphabet, tuple(images))
+    return _unchecked(Mapping, alphabet, tuple(images))
 
 
 def random_matrix(s: int, n: int, rng: SplitMix64) -> MatrixMod:

@@ -98,6 +98,23 @@ MUTANTS = [
      "        return True",
      ["tests/test_linmod.py::test_unit_multipliers_single_term",
       "tests/test_linmod.py::test_invert_rejects_non_units"]),
+    # a mapping or program is checked once, where it enters: the parsers and
+    # the coefficient program check, and what the package derives does not
+    ("parse_mapping skips the image check",
+     "src/insitu/formats.py",
+     "        return Mapping(a, images)",
+     "        from .core import _unchecked; return _unchecked(Mapping, a, images)",
+     ["tests/test_formats.py::test_mapping_parse_errors_carry_lines"]),
+    ("execute_all checks the images it computed",
+     "src/insitu/core.py",
+     "    return _unchecked(Mapping, a, tuple(state))",
+     "    return Mapping(a, tuple(state))",
+     ["tests/test_core.py::test_mappings_are_checked_only_where_they_enter"]),
+    ("coefficient_program skips the coefficient check",
+     "src/insitu/linmod.py",
+     "    return InSituProgram(Alphabet(s, p.n), tuple(",
+     "    return _unchecked(InSituProgram, Alphabet(s, p.n), tuple(",
+     ["tests/test_linmod.py::test_coefficient_program_checks_coefficient_types"]),
 ]
 
 

@@ -31,14 +31,16 @@ from insitu.benes import route_bijection, route_bijection_reversed
 from insitu.blockseq import compile_general4_flexible
 from insitu.factor import (
     backward_restricted_program,
+    collapse_mapping,
     compile_general4_sorted,
     compile_general5,
     factor_by_classes,
     forward_program,
 )
-from insitu.formats import format_program, parse_program
+from insitu.formats import format_mapping, format_program, parse_mapping, parse_program
+from insitu.linmod import MatrixMod, ModRing, linear_mapping
 from insitu.minsim import routing_of
-from insitu.oracle import method_network
+from insitu.oracle import exhaustive_suite, method_network
 from insitu.rng import SplitMix64, random_bijection, random_mapping
 
 
@@ -259,6 +261,53 @@ def test_tables_are_checked_only_where_programs_enter(monkeypatch):
     assert checks(routing_of, linear) == 0
     assert checks(parse_program, text) == len(routed)
     assert checks(InSituProgram, boolean, routed.assignments) == len(routed)
+
+
+def test_mappings_are_checked_only_where_they_enter(monkeypatch):
+    # mappings the package computes from checked mappings, programs and
+    # matrices skip the image check; parsed and hand-built mappings do not
+    rng = SplitMix64(9)
+    boolean, ternary = Alphabet(2, 4), Alphabet(3, 3)
+    bij = random_bijection(boolean, rng)
+    bij3 = random_bijection(ternary, rng)
+    maps = [random_mapping(boolean, rng), random_mapping(ternary, rng)]
+    routed = route_bijection(bij)
+    matrix = MatrixMod.of(ModRing.of(3), [[1, 2, 0], [0, 1, 1], [2, 0, 1]])
+    text = format_mapping(maps[0])
+
+    checked = []
+    real = Mapping.__post_init__
+    monkeypatch.setattr(Mapping, "__post_init__", lambda self: checked.append(self) or real(self))
+
+    def checks(build, *args):
+        checked.clear()
+        build(*args)
+        return len(checked)
+
+    for e in (bij, bij3):
+        assert checks(route_bijection, e) == 0
+        assert checks(route_bijection_reversed, e) == 0
+    for e in maps:
+        assert checks(compile_general5, e) == 0
+        assert checks(compile_general4_sorted, e) == 0
+        assert checks(factor_by_classes, e) == 0
+    assert checks(compile_general4_flexible, maps[0]) == 0
+    assert checks(collapse_mapping, (3, 0, 5, 1, 0, 7), boolean) == 0
+    assert checks(component_permutation, (3, 1, 2), ternary) == 0
+    assert checks(execute_all, routed) == 0
+    assert checks(linear_mapping, matrix) == 0
+    assert checks(random_mapping, ternary, SplitMix64(1)) == 0
+    assert checks(random_bijection, ternary, SplitMix64(1)) == 0
+    for method, a in (("general5", Alphabet(2, 3)), ("linear", Alphabet(3, 2))):
+        assert checks(lambda: exhaustive_suite(a, method, sample=10, seed=7)) == 0
+    # whole universes: every bijection of 2^2, every mapping of 2^1
+    assert checks(exhaustive_suite, Alphabet(2, 2), "benes") == 0
+    assert checks(exhaustive_suite, Alphabet(2, 1), "general4-sorted") == 0
+    assert checks(Mapping.identity, ternary) == 0
+    assert checks(bij.compose, bij) == 0
+    assert checks(bij.inverse) == 0
+    assert checks(parse_mapping, text) == 1
+    assert checks(Mapping, boolean, maps[0].images) == 1
 
 
 def test_merge_adjacent_preserves_behavior():

@@ -49,8 +49,9 @@ def test_mapping_parse_errors_carry_lines():
     with pytest.raises(ParseError) as exc:
         parse_mapping("1 2\n\n")
     assert exc.value.line == 1
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError) as exc:
         parse_mapping("2 2\n0 1 2 9\n")
+    assert str(exc.value) == "line 2: image 9 out of range [0, 4)"
 
 
 def test_matrix_round_trip():

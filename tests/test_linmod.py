@@ -11,6 +11,7 @@ from insitu.linmod import (
     ModRing,
     NotInvertible,
     ZeroColumn,
+    coefficient_program,
     decompose,
     identity_row,
     invert_linear_program,
@@ -356,6 +357,15 @@ def test_linear_program_validation():
         LinearProgram(r, 2, (AssignmentMatrix(3, (1, 0)),))
     with pytest.raises(DimensionMismatch):
         LinearProgram(r, 2, (AssignmentMatrix(1, (1, 0, 0)),))
+
+
+def test_coefficient_program_checks_coefficient_types():
+    # LinearProgram checks sizes and rows only; the coefficient program is
+    # where a hand-built program's coefficient types are checked
+    p = LinearProgram(ModRing.of(5), 2, (AssignmentMatrix(1, (0.5, 1)),))
+    with pytest.raises(ValueError) as exc:
+        coefficient_program(p)
+    assert str(exc.value) == "assignment 0: coefficient 0.5 is not an integer"
 
 
 def test_large_modulus_executes_on_vectors():
