@@ -19,7 +19,6 @@ from typing import Sequence
 
 from . import benes
 from .core import (
-    Alphabet,
     BadSignature,
     InSituError,
     InSituProgram,

@@ -12,10 +12,10 @@ the coefficient row of a linear form over Z/sZ.  The linear payload is
 what lets programs over huge index spaces (e.g. Z/101^8) execute on
 single vectors without materializing tables.
 
-The `Mapping` and `InSituProgram` constructors and the parsers check
-their input; every mapping or program the package computes from checked
-input skips that check.  `linmod.coefficient_program` alone checks what
-it derives, as a `LinearProgram` does not check its coefficient types.
+The `Mapping` and `InSituProgram` constructors, their linear
+counterparts `linmod.ModRing.of`, `linmod.MatrixMod.of` and
+`linmod.LinearProgram`, and the parsers check their input; every value
+the package computes from checked input skips that check.
 
 Each table kernel has one form unless measurement shows that a fork by
 size pays.  CPython keeps the ints up to 256 as shared objects, so past
@@ -34,12 +34,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import add, itemgetter
-from typing import Sequence
+from typing import Sequence, TypeVar
 
 _MAX_INDEX_BITS = 64
 # the largest of CPython's cached small ints; up to this many indices
 # `step_images` keeps its comprehension (see the module docstring)
 _SMALL_INTS = 256
+_T = TypeVar("_T")
 
 
 class InSituError(Exception):
@@ -272,12 +273,12 @@ class InSituProgram:
         return tuple(asg.target for asg in self.assignments)
 
 
-def _unchecked(cls: type, alphabet: Alphabet, payload: tuple) -> Mapping | InSituProgram:
-    # a mapping or program the package computed from checked mappings or
-    # programs is valid by construction, so it skips the entry check
+def _unchecked(cls: type[_T], *fields: object) -> _T:
+    # a value the package computed from checked input is valid by
+    # construction, so it skips the entry check; `fields` are the
+    # dataclass fields in order, written past the frozen __setattr__
     value = object.__new__(cls)
-    object.__setattr__(value, "alphabet", alphabet)
-    object.__setattr__(value, cls.__match_args__[1], payload)  # images or assignments
+    value.__dict__.update(zip(cls.__match_args__, fields))
     return value
 
 

@@ -120,11 +120,13 @@ def _header(toks: _Tokens) -> Alphabet:
 def _ring_header(toks: _Tokens) -> tuple[ModRing, int]:
     s = toks.next_int("modulus s")
     n = toks.next_int("dimension n")
-    if s < 2:
-        raise ParseError(f"modulus must be at least 2, got {s}", toks.last_line)
+    try:
+        ring = ModRing.of(s)
+    except ValueError as exc:
+        raise ParseError(str(exc), toks.last_line) from None
     if n < 1:
         raise ParseError(f"dimension must be at least 1, got {n}", toks.last_line)
-    return ModRing.of(s), n
+    return ring, n
 
 
 def _count(toks: _Tokens, what: str) -> int:
@@ -219,5 +221,5 @@ def format_program(p: InSituProgram) -> str:
 def format_linear_program(p: LinearProgram) -> str:
     lines = [f"linear {p.ring.s} {p.n} {len(p.factors)}"]
     for fac in p.factors:
-        lines.append(f"{fac.row} " + " ".join(str(c % p.ring.s) for c in fac.coefficients))
+        lines.append(f"{fac.row} " + " ".join(map(str, fac.coefficients)))
     return "\n".join(lines) + "\n"

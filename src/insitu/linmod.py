@@ -13,6 +13,10 @@ onto the diagonal (`unit_multipliers` builds lambda with lambda_k = 1, so
 the move is an assignment matrix and is invertible), then the column is
 divided out and the row eliminated.  Every step needs only gcds and
 inverses mod s; s is never factored, so any modulus works.
+
+Linear input is checked where it enters: `ModRing.of`, `MatrixMod.of`
+and `LinearProgram(...)`, whose coefficients must be integers in [0, s).
+What this module derives from checked input is built unchecked.
 """
 
 from __future__ import annotations
@@ -28,6 +32,8 @@ from .core import (
     InSituProgram,
     Mapping,
     _add_place_values,
+    _check_ints,
+    _check_values,
     _unchecked,
     assignment_table,
 )
@@ -54,6 +60,7 @@ class ModRing:
 
     @classmethod
     def of(cls, s: int) -> "ModRing":
+        _check_ints((s,), "modulus")
         if s < 2:
             raise ValueError(f"modulus must be at least 2, got {s}")
         return cls(s)
@@ -77,6 +84,9 @@ class MatrixMod:
 
     @classmethod
     def of(cls, ring: ModRing, rows: Iterable[Iterable[int]]) -> "MatrixMod":
+        rows = tuple(map(tuple, rows))
+        for row in rows:
+            _check_ints(row, "matrix entry")
         reduced = tuple(tuple(v % ring.s for v in row) for row in rows)
         n = len(reduced)
         if any(len(row) != n for row in reduced):
@@ -121,11 +131,12 @@ class LinearProgram:
     factors: tuple[AssignmentMatrix, ...]
 
     def __post_init__(self) -> None:
-        for fac in self.factors:
+        for pos, fac in enumerate(self.factors):
             if len(fac.coefficients) != self.n:
                 raise DimensionMismatch("factor does not match the program's size")
             if not 1 <= fac.row <= self.n:
                 raise DimensionMismatch(f"row {fac.row} out of range")
+            _check_values(fac.coefficients, self.ring.s, pos, "coefficient")
 
     def __len__(self) -> int:
         return len(self.factors)
@@ -285,7 +296,7 @@ def decompose(m: MatrixMod) -> LinearProgram:
         for j in range(n):
             if M[i][j] != (1 if i == j else 0):
                 raise AssertionError("residual did not reduce to the identity")
-    return LinearProgram(ring, n, tuple(uphill) + tuple(reversed(downhill)))
+    return _unchecked(LinearProgram, ring, n, tuple(uphill) + tuple(reversed(downhill)))
 
 
 def invert_linear_program(p: LinearProgram) -> LinearProgram:
@@ -304,15 +315,14 @@ def invert_linear_program(p: LinearProgram) -> LinearProgram:
         coeffs = tuple(ainv if j == k else -ainv * c % s
                        for j, c in enumerate(fac.coefficients))
         out.append(AssignmentMatrix(fac.row, coeffs))
-    return LinearProgram(ring, p.n, tuple(out))
+    return _unchecked(LinearProgram, ring, p.n, tuple(out))
 
 
 def coefficient_program(p: LinearProgram) -> InSituProgram:
     """The same program as coefficient assignments over Alphabet(s, n);
     it runs on vectors at any scale, and `minsim.verify` traces it."""
-    s = p.ring.s
-    return InSituProgram(Alphabet(s, p.n), tuple(
-        Assignment(fac.row, coeffs=tuple(c % s for c in fac.coefficients)) for fac in p.factors))
+    return _unchecked(InSituProgram, Alphabet(p.ring.s, p.n), tuple(
+        Assignment(fac.row, coeffs=fac.coefficients) for fac in p.factors))
 
 
 def to_in_situ(p: LinearProgram) -> InSituProgram:

@@ -75,4 +75,6 @@ def random_matrix(s: int, n: int, rng: SplitMix64) -> MatrixMod:
     if n * n > DRAW_CAP:
         raise InSituError(f"a {n}x{n} matrix has {n * n} entries, "
                           f"over the cap of {DRAW_CAP} for random draws")
-    return MatrixMod.of(ModRing.of(s), [[rng.below(s) for _ in range(n)] for _ in range(n)])
+    # draws lie in [0, s), so the matrix skips the entry check of `MatrixMod.of`
+    return MatrixMod(ModRing.of(s), n, tuple(tuple(rng.below(s) for _ in range(n))
+                                             for _ in range(n)))

@@ -98,8 +98,8 @@ MUTANTS = [
      "        return True",
      ["tests/test_linmod.py::test_unit_multipliers_single_term",
       "tests/test_linmod.py::test_invert_rejects_non_units"]),
-    # a mapping or program is checked once, where it enters: the parsers and
-    # the coefficient program check, and what the package derives does not
+    # input is checked once, where it enters: the parsers, the constructors
+    # and ModRing.of / MatrixMod.of check, and what the package derives does not
     ("parse_mapping skips the image check",
      "src/insitu/formats.py",
      "        return Mapping(a, images)",
@@ -110,11 +110,28 @@ MUTANTS = [
      "    return _unchecked(Mapping, a, tuple(state))",
      "    return Mapping(a, tuple(state))",
      ["tests/test_core.py::test_mappings_are_checked_only_where_they_enter"]),
-    ("coefficient_program skips the coefficient check",
+    ("ModRing.of skips the modulus type check",
      "src/insitu/linmod.py",
-     "    return InSituProgram(Alphabet(s, p.n), tuple(",
-     "    return _unchecked(InSituProgram, Alphabet(s, p.n), tuple(",
-     ["tests/test_linmod.py::test_coefficient_program_checks_coefficient_types"]),
+     '        _check_ints((s,), "modulus")',
+     "        pass",
+     ["tests/test_linmod.py::test_linear_input_types_are_checked_at_entry[modulus-float]",
+      "tests/test_linmod.py::test_linear_input_types_are_checked_at_entry[modulus-str]"]),
+    ("MatrixMod.of skips the entry type check",
+     "src/insitu/linmod.py",
+     '            _check_ints(row, "matrix entry")',
+     "            pass",
+     ["tests/test_linmod.py::test_linear_input_types_are_checked_at_entry[entry-float]",
+      "tests/test_linmod.py::test_linear_input_types_are_checked_at_entry[entry-str]"]),
+    ("LinearProgram skips its coefficient check",
+     "src/insitu/linmod.py",
+     '            _check_values(fac.coefficients, self.ring.s, pos, "coefficient")',
+     "            pass",
+     ["tests/test_linmod.py::test_linear_program_checks_coefficients"]),
+    ("decompose checks the program it derived",
+     "src/insitu/linmod.py",
+     "    return _unchecked(LinearProgram, ring, n, tuple(uphill)",
+     "    return LinearProgram(ring, n, tuple(uphill)",
+     ["tests/test_core.py::test_tables_are_checked_only_where_programs_enter"]),
 ]
 
 

@@ -57,7 +57,7 @@ from insitu.linmod import (
     to_in_situ,
 )
 from insitu.oracle import min_length_bfs
-from insitu.rng import SplitMix64, random_bijection, random_mapping
+from insitu.rng import SplitMix64, random_bijection, random_mapping, random_matrix
 
 # criterion number -> [programs checked, failures]; criteria 1-3 fill their
 # buckets inline, criterion 8 audits them and adds bucket 4 itself
@@ -237,21 +237,15 @@ _MATRIX_WIDTHS = range(1, 9)
 _MATRICES_PER_SLICE = 1000
 
 
-def _random_matrix(ring, n, rng):
-    rows = tuple(tuple(rng.below(ring.s) for _ in range(n)) for _ in range(n))
-    return MatrixMod.of(ring, rows)
-
-
 def test_criterion_4_matrix_decomposition():
     t0 = time.perf_counter()
     failures = []
     checked = 0
     for s in _MATRIX_RINGS:
-        ring = ModRing.of(s)
         for n in _MATRIX_WIDTHS:
             rng = SplitMix64(s * 1000 + n)
             for _ in range(_MATRICES_PER_SLICE):
-                m = _random_matrix(ring, n, rng)
+                m = random_matrix(s, n, rng)
                 p = decompose(m)
                 checked += 1
                 if len(p.factors) > 2 * n - 1:
@@ -303,14 +297,13 @@ def _coeff_program(p):
 def test_criterion_5_inversion():
     t0 = time.perf_counter()
     failures = []
-    ring = ModRing.of(101)
     rng = SplitMix64(5001)
     vec_rng = np.random.default_rng(5002)
     matrices = 0
     for n in itertools.cycle(range(1, 7)):
         if matrices >= 1002:
             break
-        m = _random_matrix(ring, n, rng)
+        m = random_matrix(101, n, rng)
         if math.gcd(_det_mod(m.entries, 101), 101) != 1:
             continue  # keep only invertible inputs, decided independently
         matrices += 1
@@ -495,13 +488,12 @@ def test_criterion_8_network_semantics():
 
     # criterion 4 programs, every slice whose index space fits in 4096
     for s in _MATRIX_RINGS:
-        ring = ModRing.of(s)
         for n in _MATRIX_WIDTHS:
             if s ** n > 4096:
                 continue
             rng = SplitMix64(s * 1000 + n)
             for _ in range(_MATRICES_PER_SLICE):
-                m = _random_matrix(ring, n, rng)
+                m = random_matrix(s, n, rng)
                 program = to_in_situ(decompose(m))
                 e = linear_mapping(m)
                 bijective = math.gcd(_det_mod(m.entries, s), s) == 1

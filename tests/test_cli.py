@@ -6,8 +6,6 @@ import subprocess
 import sys
 import time
 
-import pytest
-
 import insitu
 from insitu import Alphabet, Mapping, execute_all
 from insitu import linmod, oracle

@@ -26,7 +26,7 @@ from insitu import (
     regroup,
     vector_of,
 )
-from insitu import core
+from insitu import core, linmod
 from insitu.benes import route_bijection, route_bijection_reversed
 from insitu.blockseq import compile_general4_flexible
 from insitu.factor import (
@@ -37,8 +37,22 @@ from insitu.factor import (
     factor_by_classes,
     forward_program,
 )
-from insitu.formats import format_mapping, format_program, parse_mapping, parse_program
-from insitu.linmod import MatrixMod, ModRing, linear_mapping
+from insitu.formats import (
+    format_linear_program,
+    format_mapping,
+    format_program,
+    parse_mapping,
+    parse_program,
+)
+from insitu.linmod import (
+    LinearProgram,
+    MatrixMod,
+    ModRing,
+    coefficient_program,
+    decompose,
+    invert_linear_program,
+    linear_mapping,
+)
 from insitu.minsim import routing_of
 from insitu.oracle import exhaustive_suite, method_network
 from insitu.rng import SplitMix64, random_bijection, random_mapping
@@ -222,8 +236,9 @@ def test_range_errors_name_the_first_offender():
 
 
 def test_tables_are_checked_only_where_programs_enter(monkeypatch):
-    # programs the package computes from checked mappings and programs
-    # skip the table check; parsed and hand-built programs do not
+    # programs the package computes from checked mappings, programs and
+    # matrices skip the table and coefficient check; parsed and hand-built
+    # programs do not
     rng = SplitMix64(9)
     boolean, ternary = Alphabet(2, 4), Alphabet(3, 3)
     bij = random_bijection(boolean, rng)
@@ -234,10 +249,15 @@ def test_tables_are_checked_only_where_programs_enter(monkeypatch):
     twice = concat(routed, routed)
     linear = cycle_program(3, ternary)
     text = format_program(routed)
+    lin = decompose(MatrixMod.of(ModRing.of(7), [[3, 1, 0], [2, 5, 1], [0, 4, 6]]))
+    lin_text = format_linear_program(lin)
 
     checked = []
     real = core._check_values
-    monkeypatch.setattr(core, "_check_values", lambda *args: checked.append(args) or real(*args))
+    # linmod calls the same function under its own imported name
+    for module in (core, linmod):
+        monkeypatch.setattr(module, "_check_values",
+                            lambda *args: checked.append(args) or real(*args))
 
     def checks(build, *args):
         checked.clear()
@@ -259,8 +279,14 @@ def test_tables_are_checked_only_where_programs_enter(monkeypatch):
     assert checks(invert_program, routed) == 0
     assert checks(cycle_program, 3, ternary) == 0
     assert checks(routing_of, linear) == 0
+    assert checks(decompose, MatrixMod.of(ModRing.of(12), [[4, 5], [6, 4]])) == 0
+    assert checks(invert_linear_program, lin) == 0
+    assert checks(coefficient_program, lin) == 0
+    assert checks(lambda: exhaustive_suite(Alphabet(3, 2), "linear", sample=10, seed=7)) == 0
     assert checks(parse_program, text) == len(routed)
     assert checks(InSituProgram, boolean, routed.assignments) == len(routed)
+    assert checks(parse_program, lin_text) == len(lin) == 5
+    assert checks(LinearProgram, lin.ring, lin.n, lin.factors) == len(lin)
 
 
 def test_mappings_are_checked_only_where_they_enter(monkeypatch):

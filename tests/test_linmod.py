@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from insitu import Alphabet, Assignment, InSituProgram, execute, execute_all, index_of, vector_of
+from insitu import Alphabet, execute, execute_all, index_of, vector_of
 from insitu.linmod import (
     AssignmentMatrix,
     DimensionMismatch,
@@ -20,15 +20,11 @@ from insitu.linmod import (
     to_in_situ,
     unit_multipliers,
 )
-from insitu.rng import SplitMix64
+from insitu.rng import SplitMix64, random_matrix
 
 
 def up_down(n):
     return tuple(range(1, n + 1)) + tuple(range(n - 1, 0, -1))
-
-
-def random_matrix(ring, n, rng):
-    return MatrixMod.of(ring, [[rng.below(ring.s) for _ in range(n)] for _ in range(n)])
 
 
 def naive_product(mats, ring, n):
@@ -286,7 +282,7 @@ def test_decompose_random(s):
     rng = SplitMix64(1000 + s)
     for n in (1, 2, 3, 4, 5):
         for _ in range(40):
-            m = random_matrix(r, n, rng)
+            m = random_matrix(s, n, rng)
             p = decompose(m)
             assert len(p) <= 2 * n - 1
             assert p.signature == up_down(n)
@@ -300,7 +296,7 @@ def test_invert_round_trip():
     rng = SplitMix64(77)
     done = 0
     while done < 30:
-        m = random_matrix(r, 4, rng)
+        m = random_matrix(r.s, 4, rng)
         if determinant(m) == 0:
             continue
         done += 1
@@ -326,7 +322,7 @@ def test_invertibility_matches_determinant():
     for s in (4, 6, 12):
         r = ModRing.of(s)
         for _ in range(60):
-            m = random_matrix(r, 3, rng)
+            m = random_matrix(s, 3, rng)
             p = decompose(m)
             invertible = math.gcd(determinant(m), s) == 1
             if invertible:
@@ -341,10 +337,9 @@ def test_invertibility_matches_determinant():
 
 
 def test_to_in_situ_matches_matrix():
-    r = ModRing.of(3)
     rng = SplitMix64(99)
     for _ in range(20):
-        m = random_matrix(r, 2, rng)
+        m = random_matrix(3, 2, rng)
         p = decompose(m)
         prog = to_in_situ(p)
         assert prog.signature == p.signature
@@ -359,33 +354,49 @@ def test_linear_program_validation():
         LinearProgram(r, 2, (AssignmentMatrix(1, (1, 0, 0)),))
 
 
-def test_coefficient_program_checks_coefficient_types():
-    # LinearProgram checks sizes and rows only; the coefficient program is
-    # where a hand-built program's coefficient types are checked
-    p = LinearProgram(ModRing.of(5), 2, (AssignmentMatrix(1, (0.5, 1)),))
+def test_linear_program_checks_coefficients():
+    # a hand-built program's coefficients are checked where it is built:
+    # integers in [0, s), as the coefficients of an InSituProgram
+    r = ModRing.of(5)
     with pytest.raises(ValueError) as exc:
-        coefficient_program(p)
+        LinearProgram(r, 2, (AssignmentMatrix(1, (0.5, 1)),))
     assert str(exc.value) == "assignment 0: coefficient 0.5 is not an integer"
+    with pytest.raises(ValueError) as exc:
+        LinearProgram(r, 2, (AssignmentMatrix(2, (0, 1)), AssignmentMatrix(1, (7, 1))))
+    assert str(exc.value) == "assignment 1: coefficient 7 out of range [0, 5)"
+
+
+@pytest.mark.parametrize("build,message", [
+    (lambda: ModRing.of(2.5), "modulus 2.5 is not an integer"),
+    (lambda: ModRing.of("5"), "modulus '5' is not an integer"),
+    (lambda: MatrixMod.of(ModRing.of(5), [[0.5, 1], [0, 1]]), "matrix entry 0.5 is not an integer"),
+    (lambda: MatrixMod.of(ModRing.of(5), [["1", 1], [0, 1]]), "matrix entry '1' is not an integer"),
+], ids=["modulus-float", "modulus-str", "entry-float", "entry-str"])
+def test_linear_input_types_are_checked_at_entry(build, message):
+    # refused before any % runs on the value, so no TypeError escapes
+    with pytest.raises(ValueError) as exc:
+        build()
+    assert str(exc.value) == message
 
 
 def test_large_modulus_executes_on_vectors():
     # programs over Z/101^8 never materialize tables
-    r = ModRing.of(101)
     rng = SplitMix64(123)
-    m = random_matrix(r, 8, rng)
+    m = random_matrix(101, 8, rng)
     p = decompose(m)
-    prog = InSituProgram(Alphabet(101, 8), tuple(
-        Assignment(f.row, coeffs=tuple(c % r.s for c in f.coefficients))
-        for f in p.factors))
+    prog = coefficient_program(p)
+    back = coefficient_program(invert_linear_program(p))
+    assert prog.alphabet == back.alphabet == Alphabet(101, 8)
     for _ in range(20):
         x = tuple(rng.below(101) for _ in range(8))
         assert execute(prog, x) == m.apply(x)
+        assert execute(back, execute(prog, x)) == x
 
 
 @pytest.mark.parametrize("s,n", [(12, 3), (16, 3), (2, 12), (4, 6)])
 def test_linear_mapping_matches_matrix_action(s, n):
     # independent reference: MatrixMod.apply on the digit vector of every index
-    m = random_matrix(ModRing.of(s), n, SplitMix64(s * 100 + n))
+    m = random_matrix(s, n, SplitMix64(s * 100 + n))
     a = Alphabet(s, n)
     images = linear_mapping(m).images
     for x in range(a.size):

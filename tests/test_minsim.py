@@ -8,7 +8,6 @@ from insitu.blockseq import compile_general4_flexible
 from insitu.factor import compile_general4_sorted, compile_general5
 from insitu.linmod import MatrixMod, ModRing, coefficient_program, decompose, linear_mapping
 from insitu.minsim import (
-    Min,
     benes_network,
     butterfly,
     concat,
