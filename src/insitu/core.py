@@ -21,25 +21,51 @@ Each table kernel has one form unless measurement shows that a fork by
 size pays.  CPython keeps the ints up to 256 as shared objects, so past
 256 indices each intermediate value of a per-entry comprehension is a
 new int; the kernels instead pick and add existing ints with
-`operator.itemgetter` and `map(operator.add, ...)`.  `step_images` is
-the one kernel that keeps a comprehension up to 256 indices: the suite
-traces programs at 8 and 9 indices and the oracle at 4 to 8, and with
-the builtin form there the benchmark's seven suite calls took 10% longer
-(median of 12 alternating runs, Python 3.11).  The coefficient tables of
-`assignment_table`, `_add_place_values`, the trace gather and
-`_digit_runs` have one form at every size.
+`operator.itemgetter` and `map(operator.add, ...)`.  `step_images` keeps
+a comprehension up to 256 indices: the suite traces programs at 8 and 9
+indices and the oracle at 4 to 8, and with the builtin form there the
+benchmark's seven suite calls took 10% longer (median of 12 alternating
+runs, Python 3.11).  The coefficient tables of `assignment_table`,
+`_add_place_values` and `_digit_runs` have one form at every size.
+
+`execute_all`, and so `minsim.verify`, and `linmod.linear_mapping` are
+the other fork: past 256 indices and for s <= 128 they trace on digit
+planes (`_Planes`), one `bytes` per component holding the digit that
+every input has at that step.  A coefficient step makes each c * x mod s
+with `bytes.translate`, adds the planes as big ints and reduces the sum
+with `translate` before any byte lane could pass 255; a table step reads
+the indices off lanes of 2, 4 or 8 bytes and gathers its table by them.
+No step builds a table or an index list.  On one 2-core machine
+(Python 3.11, best of 7) at 4096 indices, a 23-step coefficient trace
+took 8.9 ms as composed step images and 0.9 ms on planes, and
+`linear_mapping` 3.2 and 0.7 ms; a 23-step table trace took 7.2 and 6.9
+ms.  The two cuts:
+- up to 256 indices, the suite and oracle sizes, the index trace stays:
+  at 2^3 a 5-step table trace took 8 us there and 33 us on planes, and
+  at 3^2 a 3-step one 5 and 25 us;
+- past s = 128 two residues no longer add in a byte, so the index trace
+  stays at every size.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from operator import add, itemgetter
 from typing import Sequence, TypeVar
 
 _MAX_INDEX_BITS = 64
 # the largest of CPython's cached small ints; up to this many indices
-# `step_images` keeps its comprehension (see the module docstring)
+# `step_images` keeps its comprehension and traces compose step images
+# (see the module docstring)
 _SMALL_INTS = 256
+# the largest s at which two residues add in a byte; up to it, and past
+# _SMALL_INTS indices, traces run on digit planes (see the module docstring)
+_PLANE_MAX_S = 128
+# the byte order of every big int a plane or lane passes through, so that
+# a lane read back by `memoryview.cast` holds the value that was added
+_ORDER = sys.byteorder
+_LANE_FORMATS = {2: "H", 4: "I", 8: "Q"}
 _T = TypeVar("_T")
 
 
@@ -195,17 +221,17 @@ def assignment_table(assignment: Assignment, alphabet: Alphabet) -> tuple[int, .
 def step_images(tab: Sequence[int], target: int, alphabet: Alphabet) -> list[int]:
     """Where one step sends every index: component `target` of index v
     becomes tab[v], the other components stay.  This is the exchange
-    between two stages of the network of a signature; every trace of a
-    program composes these lists.
+    between two stages of the network of a signature; a trace up to 256
+    indices, or at s > 128, composes these lists.
 
-    This is the one table kernel with a fork by size.  Up to 256 indices
-    CPython's cached small ints make the comprehension the faster form,
-    and the suite and oracle trace there: forcing the builtin form made a
-    run of the suite's benchmark calls 10% slower.  Past that the
-    comprehension makes several new ints per entry, so there the image is
-    the index with digit `target` zeroed, each value made once and placed
-    s times, plus tab[v] * pw, picked from the s place values: one new
-    int per entry, the sum."""
+    Its form forks by size.  Up to 256 indices CPython's cached small
+    ints make the comprehension the faster form, and the suite and oracle
+    trace there: forcing the builtin form made a run of the suite's
+    benchmark calls 10% slower.  Past that the comprehension makes several
+    new ints per entry, so there the image is the index with digit
+    `target` zeroed, each value made once and placed s times, plus
+    tab[v] * pw, picked from the s place values: one new int per entry,
+    the sum."""
     s = alphabet.s
     pw = s ** (target - 1)
     size = alphabet.size
@@ -239,6 +265,79 @@ def _add_place_values(images: Sequence[int], tab: Sequence[int], pw: int,
     # images[v] + tab[v] * pw for every index v; tab[v] * pw is picked from
     # the s place values, so only the sum is new
     return list(map(add, images, itemgetter(*tab)(tuple(range(0, s * pw, pw)))))
+
+
+def _on_planes(a: Alphabet) -> bool:
+    # where traces run on digit planes (see the module docstring)
+    return a.size > _SMALL_INTS and a.s <= _PLANE_MAX_S
+
+
+class _Planes:
+    """Digit planes over one alphabet, for the trace of one call.
+
+    A plane is a `bytes` with one byte lane per input index, in order,
+    holding the digit of one component.  A linear form is made plane by
+    plane: `bytes.translate` takes each plane to c * x mod s, the products
+    add as big ints while no lane can pass 255, and `translate` reduces
+    the sum mod s.  Indices are read off lanes of 2, 4 or 8 bytes.  The
+    translate tables live in the instance, so none outlives the call.
+    """
+
+    def __init__(self, a: Alphabet) -> None:
+        s = self.s = a.s
+        self.size = a.size
+        self.powers = a.powers()
+        self.reduce = bytes([x % s for x in range(256)])
+        self.room = 255 // (s - 1)  # residues a byte lane adds before it is reduced
+        self.times: dict[int, bytes] = {}
+        self.group = 1  # components whose digits, at their place values, share a byte lane
+        while s ** (self.group + 1) <= 256:
+            self.group += 1
+        self.width = 2  # bytes in an index lane
+        while self.size > 1 << 8 * self.width:
+            self.width *= 2
+
+    def identity(self) -> list[bytes]:
+        """The planes of the inputs themselves: component i of every index."""
+        out = []
+        for pw in self.powers:
+            run = b"".join(bytes((d,)) * pw for d in range(self.s))
+            out.append(run * (self.size // len(run)))
+        return out
+
+    def linear(self, planes: Sequence[bytes], coeffs: Sequence[int]) -> bytes:
+        """The plane of sum(c_j * plane_j) mod s."""
+        s, size = self.s, self.size
+        total = terms = 0
+        for plane, c in zip(planes, coeffs):
+            if not c:
+                continue
+            if terms == self.room:
+                total = int.from_bytes(total.to_bytes(size, _ORDER).translate(self.reduce), _ORDER)
+                terms = 1
+            if c != 1:
+                if c not in self.times:
+                    self.times[c] = bytes([c * x % s for x in range(s)]).ljust(256, b"\0")
+                plane = plane.translate(self.times[c])
+            total += int.from_bytes(plane, _ORDER)
+            terms += 1
+        return total.to_bytes(size, _ORDER).translate(self.reduce)
+
+    def indices(self, planes: Sequence[bytes]) -> list[int]:
+        """The index of every input: the digits of each group of components
+        add in byte lanes, then each group sum is widened into the low byte
+        of an index lane and added at its place value."""
+        size, w, k = self.size, self.width, self.group
+        low = 0 if _ORDER == "little" else w - 1
+        total = 0
+        for start in range(0, len(planes), k):
+            digits = 0
+            for plane, pw in zip(planes[start:start + k], self.powers):
+                digits += int.from_bytes(plane, _ORDER) * pw
+            lanes = bytearray(size * w)
+            lanes[low::w] = digits.to_bytes(size, _ORDER)
+            total += int.from_bytes(lanes, _ORDER) * self.powers[start]
+        return memoryview(total.to_bytes(size * w, _ORDER)).cast(_LANE_FORMATS[w]).tolist()
 
 
 @dataclass(frozen=True)
@@ -333,11 +432,21 @@ def execute(program: InSituProgram, vector: Sequence[int]) -> tuple[int, ...]:
 def execute_all(program: InSituProgram) -> Mapping:
     """The mapping computed by the program, by running every input index."""
     a = program.alphabet
-    state = range(a.size)
+    if not _on_planes(a):
+        state = range(a.size)
+        for asg in program.assignments:
+            trans = step_images(assignment_table(asg, a), asg.target, a)
+            state = itemgetter(*state)(trans)  # a tuple, since size >= 2
+        return _unchecked(Mapping, a, tuple(state))
+    trace = _Planes(a)
+    planes = trace.identity()
     for asg in program.assignments:
-        trans = step_images(assignment_table(asg, a), asg.target, a)
-        state = itemgetter(*state)(trans)  # a tuple, since size >= 2
-    return _unchecked(Mapping, a, tuple(state))
+        if asg.table is None:
+            plane = trace.linear(planes, asg.coeffs)
+        else:  # table values lie in [0, s), so they fit a byte
+            plane = bytes(itemgetter(*trace.indices(planes))(asg.table))
+        planes[asg.target - 1] = plane
+    return _unchecked(Mapping, a, tuple(trace.indices(planes)))
 
 
 def concat(*programs: InSituProgram) -> InSituProgram:

@@ -9,8 +9,10 @@ program file        program s n m
 linear program file linear s n m
                     m assignments: target row, then n coefficients
 
-Writers are deterministic; parsers accept any whitespace layout and
-report the line number of the first offending token.
+Writers are deterministic, and write every value as the int it equals,
+so a `bool` in a hand-built mapping or program is written 1 or 0, not
+True or False; parsers accept any whitespace layout and report the line
+number of the first offending token.
 
 Program table values are looked up by their canonical digit names ("0"
 to str(s - 1)): on 4096 one-digit tokens the lookup takes 90 us where
@@ -148,8 +150,8 @@ def parse_mapping(text: str) -> Mapping:
 
 
 def format_mapping(m: Mapping) -> str:
-    head = f"{m.alphabet.s} {m.alphabet.n}\n"
-    return head + " ".join(str(y) for y in m.images) + "\n"
+    head = f"{m.alphabet.s:d} {m.alphabet.n:d}\n"
+    return head + " ".join(map(int.__repr__, m.images)) + "\n"
 
 
 def parse_matrix(text: str) -> MatrixMod:
@@ -161,9 +163,9 @@ def parse_matrix(text: str) -> MatrixMod:
 
 
 def format_matrix(m: MatrixMod) -> str:
-    lines = [f"{m.ring.s} {m.n}"]
+    lines = [f"{m.ring.s:d} {m.n:d}"]
     for row in m.entries:
-        lines.append(" ".join(str(v) for v in row))
+        lines.append(" ".join(map(int.__repr__, row)))
     return "\n".join(lines) + "\n"
 
 
@@ -212,14 +214,14 @@ def format_program(p: InSituProgram) -> str:
     # digit names cost no more than one table does; a table has at least two
     # entries, so the gather gives a tuple
     names = [str(d) for d in range(a.s)] if p.assignments else []
-    lines = [f"program {a.s} {a.n} {len(p.assignments)}"]
+    lines = [f"program {a.s:d} {a.n:d} {len(p.assignments)}"]
     for asg in p.assignments:
-        lines.append(f"{asg.target} " + " ".join(itemgetter(*asg.table)(names)))
+        lines.append(f"{asg.target:d} " + " ".join(itemgetter(*asg.table)(names)))
     return "\n".join(lines) + "\n"
 
 
 def format_linear_program(p: LinearProgram) -> str:
-    lines = [f"linear {p.ring.s} {p.n} {len(p.factors)}"]
+    lines = [f"linear {p.ring.s:d} {p.n:d} {len(p.factors)}"]
     for fac in p.factors:
-        lines.append(f"{fac.row} " + " ".join(map(str, fac.coefficients)))
+        lines.append(f"{fac.row:d} " + " ".join(map(int.__repr__, fac.coefficients)))
     return "\n".join(lines) + "\n"

@@ -5,11 +5,13 @@ breadth-first search over compositions of single assignments, so compiler
 output lengths can be checked against the true optimum on small spaces.
 `exhaustive_suite` runs a compiler over every input (or a seeded sample)
 of an index space and checks each produced program's signature against
-its method's network, which fixes its length too, and its behavior.  A
-program that performs a bijection merges no paths, so its routing is
-vertex disjoint without a second check.  The suite streams on one
-thread: it takes one input at a time and keeps only counts and the
-first few failure texts, so its memory does not grow with the sample.
+its method's network, which fixes its length too, and its behavior;
+`linear_suite` does the same for matrices drawn by (s, n), with no index
+space, so any modulus works.  A program that performs a bijection merges
+no paths, so its routing is vertex disjoint without a second check.  The
+suite streams on one thread: it takes one input at a time and keeps only
+counts and the first few failure texts, so its memory does not grow with
+the sample.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from .core import (
     InSituError,
     InSituProgram,
     Mapping,
+    _MAX_INDEX_BITS,
     _digit_runs,
     _unchecked,
     assignment_table,
@@ -207,9 +210,9 @@ def method_network(method: str, alphabet: Alphabet) -> minsim.Min:
     raise ValueError(f"unknown compiler {method!r}")
 
 
-def _check_linear(network, m):
+def _check_linear(signature, m):
     p = linmod.decompose(m)
-    if p.signature != network.signature:
+    if p.signature != signature:
         return len(p), f"matrix {m.entries}: signature {p.signature}"
     if p.matrix().entries != m.entries:
         return len(p), f"matrix {m.entries}: product mismatch"
@@ -237,9 +240,9 @@ def exhaustive_suite(
     compiler is one of benes, general5, general4-sorted, general4-flex,
     linear.  Without `sample`, the universe is enumerated exhaustively
     when small enough (all bijections / all mappings / otherwise an
-    explicit sample is required), and linear draws 1000 matrices.
-    Results are deterministic for a given (alphabet, compiler, sample,
-    seed).
+    explicit sample is required); linear is `linear_suite` at the
+    alphabet's s and n.  Results are deterministic for a given
+    (alphabet, compiler, sample, seed).
 
     Inputs are enumerated or drawn one at a time, and each is compiled,
     checked and counted before the next is made, so memory stays flat in
@@ -252,15 +255,12 @@ def exhaustive_suite(
     if workers != 1:
         raise ValueError(f"the suite runs on one thread; workers must be 1, got {workers}")
     network = method_network(compiler, alphabet)
-    if sample is not None and sample < 0:
-        raise ValueError(f"sample size must not be negative, got {sample}")
+    if compiler == "linear":
+        return linear_suite(alphabet.s, alphabet.n, sample, seed)
+    _check_sample(sample)
     size = alphabet.size
     bijective = compiler == "benes"
-    if compiler == "linear":
-        rng = SplitMix64(seed)
-        inputs = (random_matrix(alphabet.s, alphabet.n, rng)
-                  for _ in range(1000 if sample is None else sample))
-    elif sample is not None:
+    if sample is not None:
         rng = SplitMix64(seed)
         draw = random_bijection if bijective else random_mapping
         inputs = (draw(alphabet, rng) for _ in range(sample))
@@ -272,11 +272,35 @@ def exhaustive_suite(
                   for images in itertools.product(range(size), repeat=size))
     else:
         raise ValueError("universe too large; pass a sample size")
+    compile_ = COMPILERS[compiler]
+    return _report(compiler, alphabet.s, alphabet.n,
+                   (_check_mapping(network, compile_, e) for e in inputs))
 
-    if compiler == "linear":
-        results = (_check_linear(network, m) for m in inputs)
-    else:
-        results = (_check_mapping(network, COMPILERS[compiler], e) for e in inputs)
+
+def linear_suite(s: int, n: int, sample: int | None = None, seed: int = 0) -> SuiteReport:
+    """The linear suite over Z/sZ at dimension n: `sample` seeded n x n
+    matrices (1000 by default), each decomposed and checked for the Benes
+    signature 1, ..., n, ..., 1 and for its factor product.  It multiplies
+    factors only, so it builds no index space and takes any modulus; n
+    stays at most 64, the largest arity an `Alphabet` has."""
+    linmod.ModRing.of(s)  # refuses a modulus below 2 or not an integer
+    if not 1 <= n <= _MAX_INDEX_BITS:
+        raise ValueError(f"dimension must be in [1, {_MAX_INDEX_BITS}], got {n}")
+    _check_sample(sample)
+    signature = (*range(1, n + 1), *range(n - 1, 0, -1))
+    rng = SplitMix64(seed)
+    matrices = (random_matrix(s, n, rng) for _ in range(1000 if sample is None else sample))
+    return _report("linear", s, n, (_check_linear(signature, m) for m in matrices))
+
+
+def _check_sample(sample: int | None) -> None:
+    if sample is not None and sample < 0:
+        raise ValueError(f"sample size must not be negative, got {sample}")
+
+
+def _report(compiler: str, s: int, n: int,
+            results: Iterable[tuple[int, str | None]]) -> SuiteReport:
+    # the length counts, the failure count and the first failure texts
     counts: dict[int, int] = {}
     failure_count = 0
     shown: list[str] = []
@@ -286,7 +310,7 @@ def exhaustive_suite(
             failure_count += 1
             if len(shown) < _SHOWN_FAILURES:
                 shown.append(fail)
-    return SuiteReport(compiler, alphabet.s, alphabet.n, sum(counts.values()), failure_count,
+    return SuiteReport(compiler, s, n, sum(counts.values()), failure_count,
                        tuple(shown), tuple(sorted(counts.items())))
 
 

@@ -73,13 +73,32 @@ MUTANTS = [
      "            k = c * d % s",
      "            k = -c * d % s",
      ["tests/test_core.py::test_cycle_program_exhaustive[3-3-2]",
-      "tests/test_linmod.py::test_linear_mapping_matches_matrix_action[4-6]"]),
+      "tests/test_kernel_reference.py::test_coefficient_tables_match_the_digit_recurrence"]),
     ("_add_place_values picks from the place values reversed",
      "src/insitu/core.py",
      "tuple(range(0, s * pw, pw))",
      "tuple(range(0, s * pw, pw))[::-1]",
      ["tests/test_linmod.py::test_to_in_situ_matches_matrix",
+      "tests/test_kernel_reference.py::test_step_images_match_the_comprehension"]),
+    # past 256 indices at s <= 128, traces and linear mappings run on digit
+    # planes, so these rows name tests that trace there
+    ("the plane reduction table is off by one",
+     "src/insitu/core.py",
+     "        self.reduce = bytes([x % s for x in range(256)])",
+     "        self.reduce = bytes([(x + 1) % s for x in range(256)])",
+     ["tests/test_kernel_reference.py::test_traces_match_the_gather_loop",
       "tests/test_linmod.py::test_linear_mapping_matches_matrix_action[4-6]"]),
+    ("a digit is widened into the wrong byte of its index lane",
+     "src/insitu/core.py",
+     '        low = 0 if _ORDER == "little" else w - 1',
+     '        low = 1 if _ORDER == "little" else w - 2',
+     ["tests/test_kernel_reference.py::test_traces_match_the_gather_loop",
+      "tests/test_linmod.py::test_linear_mapping_matches_matrix_action[2-12]"]),
+    ("a byte lane adds one residue more than fits before it is reduced",
+     "src/insitu/core.py",
+     "        self.room = 255 // (s - 1)",
+     "        self.room = 255 // (s - 1) + 1",
+     ["tests/test_kernel_reference.py::test_plane_sums_reduce_partway_through_a_row"]),
     # a linear program holds its ring once, so each size check and the unit
     # test below is the only copy of its fact
     ("product skips its factor-size check",

@@ -237,6 +237,32 @@ def test_suite_rejects_negative_sample(capsys):
         assert "negative" in capsys.readouterr().err
 
 
+def test_linear_suite_at_any_modulus(capsys):
+    # the linear suite multiplies factors and builds no index space, so a
+    # modulus whose 1000000007^3 indices no Alphabet holds runs like any other
+    argv = ["suite", "--method", "linear", "--s", "1000000007", "--n", "3", "--sample", "2"]
+    assert main(argv) == EXIT_OK
+    assert capsys.readouterr().out == ("compiler=linear\ns=1000000007\nn=3\ntotal=2\n"
+                                       "failures=0\nmax_length=5\nlength_5=2\n")
+    # the table methods keep their 64-bit cap
+    assert main(["suite", "--method", "benes", *argv[3:]]) == EXIT_USAGE
+    assert capsys.readouterr().err == "error: index space 1000000007^3 does not fit in 64 bits\n"
+    # the dimension keeps the arity cap of an Alphabet, and a modulus must be one
+    for s, n, err in (("2", "65", "dimension must be in [1, 64], got 65"),
+                      ("5", "0", "dimension must be in [1, 64], got 0"),
+                      ("1", "2", "modulus must be at least 2, got 1")):
+        assert main(["suite", "--method", "linear", "--s", s, "--n", n]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: {err}\n"
+    # at a size an Alphabet holds, the output is the parent's, and the
+    # command line and `exhaustive_suite` agree
+    argv = ["suite", "--method", "linear", "--s", "4", "--n", "2", "--sample", "40", "--seed", "1"]
+    assert main(argv) == EXIT_OK
+    out = capsys.readouterr().out
+    assert out == "compiler=linear\ns=4\nn=2\ntotal=40\nfailures=0\nmax_length=3\nlength_3=40\n"
+    assert out == oracle.exhaustive_suite(Alphabet(4, 2), "linear", sample=40, seed=1,
+                                          workers=1).to_text()
+
+
 def test_random_refuses_dimension_below_one(capsys):
     # the same refusal and exit code as a mapping of arity 0 or a matrix
     # file of dimension 0, before any draw
@@ -338,6 +364,7 @@ def test_oversized_index_spaces_are_refused_before_allocation(tmp_path):
         ("suite --method general4-sorted --s 2 --n 30", EXIT_USAGE),
         ("suite --method general5 --s 2 --n 40 --sample 1", EXIT_DOMAIN),
         ("suite --method benes --s 3 --n 30 --sample 2", EXIT_DOMAIN),
+        ("suite --method linear --s 2 --n 100000", EXIT_USAGE),
         (f"compile {huge} --method benes", EXIT_USAGE),
         ("random matrix --s 2 --n 100000", EXIT_DOMAIN),
         ("full_universe 2 64", EXIT_DOMAIN),

@@ -14,7 +14,7 @@ from insitu.formats import (
     parse_matrix,
     parse_program,
 )
-from insitu.linmod import LinearProgram, MatrixMod, ModRing, decompose, to_in_situ
+from insitu.linmod import AssignmentMatrix, LinearProgram, MatrixMod, ModRing, decompose, to_in_situ
 from insitu.rng import SplitMix64, random_bijection, random_mapping
 
 
@@ -95,6 +95,21 @@ def test_linear_program_round_trip():
     back = parse_program(text)
     assert isinstance(back, LinearProgram)
     assert back == p
+
+
+def test_bools_are_written_as_the_ints_they_equal():
+    # a bool is an int, so the entry checks take it; the writers must
+    # still write 1 and 0, which the parsers read back
+    m = Mapping(Alphabet(2, 1), (True, False))
+    assert format_mapping(m) == "2 1\n1 0\n"
+    assert parse_mapping(format_mapping(m)) == m
+    p = LinearProgram(ModRing.of(5), 2, (AssignmentMatrix(True, (True, 3)),))
+    assert format_linear_program(p) == "linear 5 2 1\n1 1 3\n"
+    assert parse_program(format_linear_program(p)) == p
+    t = InSituProgram(Alphabet(2, 1), (Assignment(True, table=(False, True)),))
+    assert format_program(t) == "program 2 1 1\n1 0 1\n"
+    assert parse_program(format_program(t)) == t
+    assert format_matrix(MatrixMod(ModRing.of(5), 1, ((True,),))) == "5 1\n1\n"
 
 
 def test_format_program_rejects_linear_payloads():

@@ -1,15 +1,23 @@
 """The table kernels against the per-entry code they replaced.
 
-`core` builds coefficient tables, and `linmod` builds linear mappings,
-by picking and adding existing ints with `operator.itemgetter` and
-`map(operator.add, ...)` at every size.  Step images do the same past
-256 indices and keep their per-entry comprehension up to 256.  At every
-size the trace gathers with `itemgetter`, `_digit_runs` places its runs
-by slices, `component_permutation` builds its images by a digit
-recurrence and `is_suffix_compatible` halves the images level by level.
-The references below are the per-entry comprehensions and loops, used at
-every size, and both sides must agree entry for entry at shapes from 2
-indices up to 4096, on either side of 256.
+`core` builds coefficient tables by picking and adding existing ints
+with `operator.itemgetter` and `map(operator.add, ...)` at every size.
+Step images do the same past 256 indices and keep their per-entry
+comprehension up to 256.  Traces and linear mappings past 256 indices at
+s <= 128 run on digit planes: `bytes.translate` and big-int sums for
+coefficient steps, a gather by index lanes for table steps; up to 256
+indices, and at s > 128, they compose step images.  `_digit_runs`
+places its runs by slices, `component_permutation` builds its images by
+a digit recurrence and `is_suffix_compatible` halves the images level
+by level.  The references below are the per-entry comprehensions and
+loops, used at every size, and both sides must agree entry for entry at
+shapes from 2 indices up to 16641, on either side of 256, at s = 2, 3,
+12, 16, 127 and 128 on planes and at s = 129, 257 and 300 off them
+(s = 257 and 300 have no shape of 256 indices or fewer).  At 127^3 and
+128^3 they agree on a sample of indices: there a byte lane holds two
+residues, so a row of three is reduced partway through.  At s <= 16 a
+lane holds 17 residues or more, more than any row within the 64-bit
+index cap has, so there a sum is reduced only at the end of its row.
 
 Needs only the standard library, so it also runs without pytest:
 
@@ -17,6 +25,7 @@ Needs only the standard library, so it also runs without pytest:
 """
 
 import itertools
+from operator import itemgetter
 
 from insitu import blockseq, core
 from insitu.blockseq import (
@@ -39,11 +48,14 @@ from insitu.factor import collapse_mapping, factor_by_classes, preimage_classes
 from insitu.linmod import MatrixMod, ModRing, linear_mapping
 from insitu.rng import SplitMix64, random_mapping
 
-# sizes 2, 4, 8, 3, 9, 125, 216, 256, 512, 243, 729, 256, 1024, 1728, 256,
-# 289, 4096, 257 and 300
+# sizes 2, 4, 8, 3, 9, 125, 216, 256, 512, 243, 729, 256, 1024, 144, 1728,
+# 256, 4096, 289, 4096, 127, 16129, 128, 16384, 129, 16641, 257 and 300
 SHAPES = [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 3), (6, 3),
-          (2, 8), (2, 9), (3, 5), (3, 6), (4, 4), (4, 5), (12, 3), (16, 2), (17, 2), (2, 12),
+          (2, 8), (2, 9), (3, 5), (3, 6), (4, 4), (4, 5), (12, 2), (12, 3), (16, 2), (16, 3),
+          (17, 2), (2, 12), (127, 1), (127, 2), (128, 1), (128, 2), (129, 1), (129, 2),
           (257, 1), (300, 1)]
+# the programs each trace runs: coefficient steps, table steps, both in turn
+KINDS = ("mixed", "coeffs", "table")
 # coefficient rows with zero, unit and non-unit entries, on both sides of 256 indices
 ROWS = {
     (6, 2): [(0, 5), (2, 3), (4, 0)],
@@ -76,6 +88,14 @@ def _ref_linear_mapping(m):
         tab = _ref_table(row, a)
         images = [y + d * pw for y, d in zip(images, tab)]
     return tuple(images)
+
+
+def _ref_linear_image(m, v):
+    # x -> Mx on the digits of one index
+    a = Alphabet(m.ring.s, m.n)
+    x = [v // pw % a.s for pw in a.powers()]
+    return sum(sum(c * d for c, d in zip(row, x)) % a.s * pw
+               for row, pw in zip(m.entries, a.powers()))
 
 
 def _ref_digit_runs(pw, s, size, stride):
@@ -114,6 +134,19 @@ def _ref_execute_all(program):
     return tuple(state)
 
 
+def _ref_run(program, v):
+    # the program on the digits of one index, a step at a time
+    a = program.alphabet
+    digits = [v // pw % a.s for pw in a.powers()]
+    for asg in program.assignments:
+        if asg.table is None:
+            digit = sum(c * x for c, x in zip(asg.coeffs, digits)) % a.s
+        else:
+            digit = asg.table[sum(d * pw for d, pw in zip(digits, a.powers()))]
+        digits[asg.target - 1] = digit
+    return sum(d * pw for d, pw in zip(digits, a.powers()))
+
+
 def _rows(a, rng):
     # seeded rows, then the all-zero, all-one and one-entry rows
     rows = [tuple(rng.below(a.s) for _ in range(a.n)) for _ in range(3)]
@@ -121,12 +154,12 @@ def _rows(a, rng):
     return rows + ROWS.get((a.s, a.n), [])
 
 
-def _program(a, rng):
-    # table and coefficient steps on seeded targets
+def _program(a, rng, kind):
+    # coefficient steps, table steps or both in turn, on seeded targets
     steps = []
     for i in range(2 * a.n + 1):
         target = 1 + rng.below(a.n)
-        if i % 2:
+        if kind == "coeffs" or kind == "mixed" and i % 2:
             steps.append(Assignment(target, coeffs=tuple(rng.below(a.s) for _ in range(a.n))))
         else:
             steps.append(Assignment(target, table=tuple(rng.below(a.s) for _ in range(a.size))))
@@ -149,13 +182,15 @@ def _trace_mismatches(shapes):
     bad = []
     for s, n in shapes:
         a = Alphabet(s, n)
-        program = _program(a, SplitMix64(2000 * s + n))
-        try:
-            images = execute_all(program).images
-        except (IndexError, ValueError):  # a step sent some index out of range
-            images = None
-        if images != _ref_execute_all(program):
-            bad.append((s, n))
+        rng = SplitMix64(2000 * s + n)
+        for kind in KINDS:
+            program = _program(a, rng, kind)
+            try:
+                images = execute_all(program).images
+            except (IndexError, ValueError):  # a step sent some index out of range
+                images = None
+            if images != _ref_execute_all(program):
+                bad.append((s, n, kind))
     return bad
 
 
@@ -287,14 +322,41 @@ def test_traces_match_the_gather_loop():
     assert _trace_mismatches(SHAPES) == []
 
 
+def test_plane_sums_reduce_partway_through_a_row():
+    # at s = 127 and 128 a byte lane holds the sum of two residues but not
+    # of three, so a row of three nonzero coefficients is reduced partway
+    # through; 127^3 and 128^3 indices also take 4-byte lanes.  Checked at
+    # every 997th index and at the last 300
+    for s in (127, 128):
+        assert 2 * (s - 1) <= 255 < 3 * (s - 1)
+        a = Alphabet(s, 3)
+        rng = SplitMix64(7000 + s)
+        rows = [tuple(1 + rng.below(s - 1) for _ in range(3)) for _ in range(4)]
+        program = InSituProgram(a, tuple(
+            Assignment(1 + k % 3, coeffs=row) for k, row in enumerate(rows)))
+        picks = [*range(0, a.size, 997), *range(a.size - 300, a.size)]
+        sample = itemgetter(*picks)  # keeps no image table alive past its check
+        assert sample(execute_all(program).images) == tuple(_ref_run(program, v) for v in picks), s
+        m = MatrixMod.of(ModRing(s), rows[:3])
+        assert sample(linear_mapping(m).images) == tuple(_ref_linear_image(m, v) for v in picks), s
+
+
 def test_a_base_off_by_one_place_value_fails():
     # the zeroed index of the last entry raised by one place value: the
-    # step images and the trace of every shape past 256 indices must differ
-    real = core._digit_runs
+    # step images of every shape past 256 indices must differ, and so must
+    # the traces that still compose them there, at s > 128.  Then the index
+    # read off the last lane raised by one: every trace on digit planes,
+    # past 256 indices at s <= 128, must differ
+    real_runs, real_indices = core._digit_runs, core._Planes.indices
 
     def shifted(pw, s, size, stride):
-        out = real(pw, s, size, stride)
+        out = real_runs(pw, s, size, stride)
         out[-1] += pw
+        return out
+
+    def lane_shifted(self, planes):
+        out = real_indices(self, planes)
+        out[-1] += 1
         return out
 
     large = [(s, n) for s, n in SHAPES if s ** n > core._SMALL_INTS]
@@ -302,10 +364,16 @@ def test_a_base_off_by_one_place_value_fails():
     try:
         steps, traces = _step_mismatches(SHAPES), _trace_mismatches(SHAPES)
     finally:
-        core._digit_runs = real
+        core._digit_runs = real_runs
     assert sorted({(s, n) for s, n, _ in steps}) == sorted(large)
     assert len(steps) == sum(n for _, n in large)
-    assert sorted(traces) == sorted(large)
+    assert traces == [(s, n, kind) for s, n in large if s > core._PLANE_MAX_S for kind in KINDS]
+    core._Planes.indices = lane_shifted
+    try:
+        traces = _trace_mismatches(SHAPES)
+    finally:
+        core._Planes.indices = real_indices
+    assert traces == [(s, n, kind) for s, n in large if s <= core._PLANE_MAX_S for kind in KINDS]
 
 
 if __name__ == "__main__":
