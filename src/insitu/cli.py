@@ -12,9 +12,11 @@ Methods: benes (bijections, 2n-1 steps), general5 (any mapping, 5n-4),
 general4-sorted (any mapping, 4n-3), general4-flex (boolean mappings,
 4n-3), linear (matrix files, at most 2n-1 assignment matrices).
 
-invert takes a linear program whose matrix is a unit, or a table program
-over any alphabet that computes a bijection, and writes a program for the
-inverse in the same format.
+compile --verify and verify trace every index; a linear program is first
+checked by its factor product, and traced only up to 2^20 indices
+(rng.DRAW_CAP).  invert takes a linear program whose matrix is a unit, or
+a table program over any alphabet that computes a bijection, and writes a
+program for the inverse in the same format.
 
 Exit codes: 0 success, 1 verification mismatch or suite failures,
 2 domain errors (NotBijective, NotInvertible, ...), 3 bad usage or
@@ -47,7 +49,7 @@ from .formats import (
     parse_matrix,
     parse_program,
 )
-from .rng import SplitMix64, random_bijection, random_mapping, random_matrix
+from .rng import DRAW_CAP, SplitMix64, random_bijection, random_mapping, random_matrix
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -55,7 +57,7 @@ EXIT_DOMAIN = 2
 EXIT_USAGE = 3
 EXIT_INTERNAL = 4
 
-_DOT_CAP = 4096  # largest index space we will render or materialize
+_DOT_CAP = 4096  # largest index space --dot renders, refused before any work or output
 
 
 def _read(path: str) -> str:
@@ -73,25 +75,33 @@ def _write(path: str | None, text: str) -> None:
             fh.write(text)
 
 
-def _verify_program(program: InSituProgram, target: Mapping) -> tuple[bool, str]:
+def _verify_program(program: InSituProgram, target: Mapping) -> int:
     report = minsim.verify(program, target)
     if not report.performs:
         x = next(x for x, (a, b) in enumerate(zip(report.images, target.images)) if a != b)
-        return False, f"mismatch_index={x} expected={target.images[x]} got={report.images[x]}"
+        print(f"mismatch_index={x} expected={target.images[x]} got={report.images[x]}")
+        return EXIT_MISMATCH
     lines = [
         "signature=" + ",".join(str(t) for t in program.signature),
         f"length={len(program)}",
         "performs=true",
         f"vertex_disjoint={'true' if report.vertex_disjoint else 'false'}",
     ]
-    return True, "\n".join(lines)
+    print("\n".join(lines))
+    return EXIT_OK
+
+
+def _trace_linear(program: linmod.LinearProgram, matrix: linmod.MatrixMod) -> int | None:
+    # `_verify_program` up to DRAW_CAP indices, where an Alphabet exists; None past it
+    if matrix.ring.s ** matrix.n <= DRAW_CAP:
+        return _verify_program(linmod.coefficient_program(program), linmod.linear_mapping(matrix))
+    return None
 
 
 def _cmd_compile(args) -> int:
     linear = args.method == "linear"
     source = (parse_matrix if linear else parse_mapping)(_read(args.input))
-    size = source.ring.s ** source.n if linear else source.alphabet.size
-    if args.dot and size > _DOT_CAP:  # refused before any work or output
+    if args.dot and (source.ring.s ** source.n if linear else source.alphabet.size) > _DOT_CAP:
         raise InSituError(f"index space too large to materialize (cap {_DOT_CAP})")
     if linear:
         program = linmod.decompose(source)
@@ -100,22 +110,18 @@ def _cmd_compile(args) -> int:
             if program.matrix().entries != source.entries:
                 print("error: factor product does not equal the input matrix", file=sys.stderr)
                 return EXIT_MISMATCH
-            if size <= _DOT_CAP:
-                ok, report = _verify_program(linmod.coefficient_program(program),
-                                             linmod.linear_mapping(source))
-                print(report)
-                if not ok:
-                    return EXIT_MISMATCH
-            else:
+            verdict = _trace_linear(program, source)
+            if verdict is None:
                 print("product=ok (index space too large for exhaustive execution)")
+            elif verdict != EXIT_OK:
+                return verdict
     else:
         program = oracle.COMPILERS[args.method](source)
         out_text = format_program(program)
         if args.verify:
-            ok, report = _verify_program(program, source)
-            print(report)
-            if not ok:
-                return EXIT_MISMATCH
+            verdict = _verify_program(program, source)
+            if verdict != EXIT_OK:
+                return verdict
     if args.dot:
         routing = linmod.coefficient_program(program) if linear else program
         network = minsim.min_of(routing.signature, routing.alphabet)
@@ -134,18 +140,12 @@ def _cmd_verify(args) -> int:
             print("product=mismatch")
             return EXIT_MISMATCH
         print("product=ok")
-        if matrix.ring.s ** matrix.n <= _DOT_CAP:
-            ok, report = _verify_program(linmod.coefficient_program(program),
-                                         linmod.linear_mapping(matrix))
-            print(report)
-            return EXIT_OK if ok else EXIT_MISMATCH
-        return EXIT_OK
+        verdict = _trace_linear(program, matrix)
+        return EXIT_OK if verdict is None else verdict
     mapping = parse_mapping(_read(args.target))
     if program.alphabet != mapping.alphabet:
         raise InSituError("program and mapping disagree on alphabet")
-    ok, report = _verify_program(program, mapping)
-    print(report)
-    return EXIT_OK if ok else EXIT_MISMATCH
+    return _verify_program(program, mapping)
 
 
 def _cmd_oracle(args) -> int:

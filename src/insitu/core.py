@@ -28,13 +28,14 @@ benchmark's seven suite calls took 10% longer (median of 12 alternating
 runs, Python 3.11).  The coefficient tables of `assignment_table`,
 `_add_place_values` and `_digit_runs` have one form at every size.
 
-`execute_all`, and so `minsim.verify`, and `linmod.linear_mapping` are
-the other fork: past 256 indices and for s <= 128 they trace on digit
-planes (`_Planes`), one `bytes` per component holding the digit that
-every input has at that step.  A coefficient step makes each c * x mod s
-with `bytes.translate`, adds the planes as big ints and reduces the sum
-with `translate` before any byte lane could pass 255; a table step reads
-the indices off lanes of 2, 4 or 8 bytes and gathers its table by them.
+`execute_all` (so `minsim.verify`) and `_linear_images` (so
+`linmod.linear_mapping`) are the other fork: past 256 indices and for
+s <= 128 they trace on digit planes (`_Planes`), one `bytes` per
+component holding the digit that every input has at that step.  A
+coefficient step makes each c * x mod s with `bytes.translate`, adds the
+planes as big ints and reduces the sum with `translate` before any byte
+lane could pass 255; a table step reads the indices off lanes of 2, 4 or
+8 bytes and gathers its table by them.
 No step builds a table or an index list.  On one 2-core machine
 (Python 3.11, best of 7) at 4096 indices, a 23-step coefficient trace
 took 8.9 ms as composed step images and 0.9 ms on planes, and
@@ -270,6 +271,19 @@ def _add_place_values(images: Sequence[int], tab: Sequence[int], pw: int,
 def _on_planes(a: Alphabet) -> bool:
     # where traces run on digit planes (see the module docstring)
     return a.size > _SMALL_INTS and a.s <= _PLANE_MAX_S
+
+
+def _linear_images(rows: Sequence[Sequence[int]], a: Alphabet) -> Sequence[int]:
+    # the index of (row_1 . x, ..., row_n . x) mod s for every index x; off
+    # the planes, the row tables weighted by their place values, row 1's first
+    if _on_planes(a):
+        trace = _Planes(a)
+        inputs = trace.identity()
+        return trace.indices([trace.linear(inputs, row) for row in rows])
+    images = assignment_table(Assignment(1, coeffs=rows[0]), a)
+    for row, pw in zip(rows[1:], a.powers()[1:]):
+        images = _add_place_values(images, assignment_table(Assignment(1, coeffs=row), a), pw, a.s)
+    return images
 
 
 class _Planes:

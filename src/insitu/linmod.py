@@ -31,13 +31,10 @@ from .core import (
     InSituError,
     InSituProgram,
     Mapping,
-    _Planes,
-    _add_place_values,
     _check_ints,
     _check_values,
-    _on_planes,
+    _linear_images,
     _unchecked,
-    assignment_table,
 )
 from .minsim import routing_of
 
@@ -335,21 +332,7 @@ def to_in_situ(p: LinearProgram) -> InSituProgram:
 
 
 def linear_mapping(m: MatrixMod) -> Mapping:
-    """The index mapping x -> Mx over Alphabet(s, n); desk scale only.
-
-    Component i of the image is the linear form of row i.  Past 256
-    indices at s <= 128 each is one digit plane of the inputs (see
-    `core`), and the images are read off those planes; otherwise the
-    images are the row tables weighted by their place values.
-    """
+    """The index mapping x -> Mx over Alphabet(s, n): component i of each
+    image is the linear form of row i, made on digit planes or row tables."""
     a = Alphabet(m.ring.s, m.n)
-    if _on_planes(a):
-        trace = _Planes(a)
-        inputs = trace.identity()
-        return _unchecked(Mapping, a, tuple(trace.indices(
-            [trace.linear(inputs, row) for row in m.entries])))
-    # row 1 has place value 1, so its table starts the images
-    images = assignment_table(Assignment(1, coeffs=m.entries[0]), a)
-    for row, pw in zip(m.entries[1:], a.powers()[1:]):
-        images = _add_place_values(images, assignment_table(Assignment(1, coeffs=row), a), pw, a.s)
-    return _unchecked(Mapping, a, tuple(images))
+    return _unchecked(Mapping, a, tuple(_linear_images(m.entries, a)))

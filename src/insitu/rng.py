@@ -20,7 +20,9 @@ from .core import Alphabet, InSituError, Mapping, _unchecked
 from .linmod import MatrixMod, ModRing
 
 _MASK = (1 << 64) - 1
-DRAW_CAP = 1 << 20  # most points of a random mapping or bijection, entries of a matrix
+# most points of a random mapping or bijection, entries of a random matrix,
+# and indices over which the command line traces a linear program
+DRAW_CAP = 1 << 20
 
 
 class SplitMix64:

@@ -151,6 +151,18 @@ MUTANTS = [
      "    return _unchecked(LinearProgram, ring, n, tuple(uphill)",
      "    return LinearProgram(ring, n, tuple(uphill)",
      ["tests/test_core.py::test_tables_are_checked_only_where_programs_enter"]),
+    # the command line traces a linear program up to rng.DRAW_CAP indices
+    # and checks only its factor product past it
+    ("the linear trace stops at the old 4096-index --dot cap",
+     "src/insitu/cli.py",
+     "    if matrix.ring.s ** matrix.n <= DRAW_CAP:",
+     "    if matrix.ring.s ** matrix.n <= _DOT_CAP:",
+     ["tests/test_cli.py::test_linear_traces_up_to_the_draw_cap[6-5]"]),
+    ("the linear trace stops one index short of the draw cap",
+     "src/insitu/cli.py",
+     "    if matrix.ring.s ** matrix.n <= DRAW_CAP:",
+     "    if matrix.ring.s ** matrix.n < DRAW_CAP:",
+     ["tests/test_cli.py::test_linear_traces_up_to_the_draw_cap[32-4]"]),
 ]
 
 

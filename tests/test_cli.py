@@ -6,6 +6,8 @@ import subprocess
 import sys
 import time
 
+import pytest
+
 import insitu
 from insitu import Alphabet, Mapping, execute_all
 from insitu import linmod, oracle
@@ -415,22 +417,40 @@ def test_random_matrix_refuses_entries_over_the_cap(capsys):
                             "over the cap of 1048576 for random draws\n")
 
 
-def test_linear_past_the_table_cap_checks_the_product(tmp_path, capsys, monkeypatch):
-    # 6^5 = 7776 points, over the 4096 cap: only the factor product is checked
+@pytest.mark.parametrize("s, n, seed, report", [
+    # 6^5 = 7776 indices, past the 4096-index --dot cap
+    (6, 5, 2, "signature=1,2,3,4,5,4,3,2,1\nlength=9\nperforms=true\nvertex_disjoint=false\n"),
+    # 32^4 = 2^20 indices, the draw cap itself
+    (32, 4, 1, "signature=1,2,3,4,3,2,1\nlength=7\nperforms=true\nvertex_disjoint=true\n"),
+], ids=["6-5", "32-4"])
+def test_linear_traces_up_to_the_draw_cap(tmp_path, capsys, s, n, seed, report):
+    matrix, prog = str(tmp_path / "m.mat"), str(tmp_path / "p.lin")
+    assert main(["random", "matrix", "--s", str(s), "--n", str(n), "--seed", str(seed),
+                 "-o", matrix]) == EXIT_OK
+    assert main(["compile", matrix, "--method", "linear", "--verify", "-o", prog]) == EXIT_OK
+    assert capsys.readouterr().out == report
+    assert main(["verify", prog, matrix]) == EXIT_OK
+    assert capsys.readouterr().out == "product=ok\n" + report
+
+
+def test_linear_past_the_draw_cap_checks_the_product(tmp_path, capsys, monkeypatch):
+    # 1025^2 = 1050625 indices, past 2^20 = 1024^2: only the factor product
+    # is checked
     matrix, prog = str(tmp_path / "m.mat"), tmp_path / "p.lin"
-    assert main(["random", "matrix", "--s", "6", "--n", "5", "--seed", "2", "-o", matrix]) == EXIT_OK
+    assert main(["random", "matrix", "--s", "1025", "--n", "2", "--seed", "2",
+                 "-o", matrix]) == EXIT_OK
     assert main(["compile", matrix, "--method", "linear", "--verify", "-o", str(prog)]) == EXIT_OK
     assert capsys.readouterr().out == "product=ok (index space too large for exhaustive execution)\n"
     assert main(["verify", str(prog), matrix]) == EXIT_OK
     assert capsys.readouterr().out == "product=ok\n"
     lines = prog.read_text().splitlines()
     row = [int(tok) for tok in lines[-1].split()]
-    row[row[0]] = (row[row[0]] + 1) % 6  # the last factor's own coefficient
+    row[row[0]] = (row[row[0]] + 1) % 1025  # the last factor's own coefficient
     edited = write(tmp_path / "e.lin", "\n".join(lines[:-1] + [" ".join(map(str, row))]) + "\n")
     assert main(["verify", edited, matrix]) == EXIT_MISMATCH
     assert capsys.readouterr().out == "product=mismatch\n"
-    other_modulus = write(tmp_path / "m7.mat", "7 5\n" + "1 0 0 0 0\n" * 5)
-    other_dimension = write(tmp_path / "m4.mat", "6 4\n" + "1 0 0 0\n" * 4)
+    other_modulus = write(tmp_path / "m1024.mat", "1024 2\n1 0\n0 1\n")
+    other_dimension = write(tmp_path / "m3.mat", "1025 3\n" + "1 0 0\n" * 3)
     for target in (other_modulus, other_dimension):
         assert main(["verify", str(prog), target]) == EXIT_DOMAIN
         captured = capsys.readouterr()
