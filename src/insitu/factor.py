@@ -21,6 +21,7 @@ Compilers built on this factorization:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Sequence
 
 from . import benes
@@ -33,6 +34,7 @@ from .core import (
     _unchecked,
     concat,
     merge_adjacent,
+    step_images,
 )
 
 
@@ -107,20 +109,27 @@ def _sweep_program(alphabet: Alphabet, sources: Sequence[int], targets: Sequence
     positions = sources
     steps = []
     for j in components:
+        if steps:
+            # the points move by the stage before; one key more than the
+            # points keeps the result a tuple when there is a single point
+            before = steps[-1]
+            positions = itemgetter(0, *positions)(
+                step_images(before.table, before.target, alphabet))[1:]
         pw = s ** (j - 1)
-        tab = [-1] * size
-        moved = []
+        run: list[int] = []  # digit j of the indices below pw * s
+        for d in range(s):
+            run += [d] * pw
+        tab = run * (size // len(run))  # digit j of every index: the identity
+        reached = bytearray(size)
         for p, y in zip(positions, targets):
             d = y // pw % s
-            have = tab[p]
-            if have != d:
-                if have >= 0:
+            if reached[p]:
+                if tab[p] != d:
                     raise InSituError("conflicting table entries; precondition violated")
+            else:
+                reached[p] = 1
                 tab[p] = d
-            moved.append(p + (d - p // pw % s) * pw)
-        steps.append(Assignment(j, table=tuple(
-            d if d >= 0 else p // pw % s for p, d in enumerate(tab))))
-        positions = moved
+        steps.append(Assignment(j, table=tuple(tab)))
     return _unchecked(InSituProgram, alphabet, tuple(steps))
 
 

@@ -5,7 +5,7 @@ Every test prints a single `criterion N: PASS/FAIL (...)` line, so a
 1-3 push every compiled program through the stage-network check and record
 the tallies; criterion 8 asserts those tallies and runs the same check over
 the matrix programs of criterion 4 for every ring/width slice whose index
-space is small enough to materialize (at most 4096 points).
+space is small enough to trace exhaustively (at most 4096 points).
 
 Timed criteria compare wall-clock time against fixed budgets, so a pass
 here is a statement about this machine as well as about the code.
@@ -51,6 +51,7 @@ from insitu.linmod import (
     LinearProgram,
     MatrixMod,
     ModRing,
+    coefficient_program,
     decompose,
     invert_linear_program,
     linear_mapping,
@@ -69,14 +70,15 @@ def _report(num, ok, detail):
 
 
 def _check_network(num, program, e, want_disjoint=None):
-    """Trace the program through its stage network and verify semantics.
+    """Trace the program through its stage network and verify semantics;
+    a program is its own routing, with table and coefficient steps alike.
 
     Returns True when the routing performs e and, for bijections, is
     vertex-disjoint.  Tallied per criterion for the criterion 8 audit.
     """
     if want_disjoint is None:
         want_disjoint = e.is_bijective()
-    rep = minsim.verify(minsim.routing_of(program), e)
+    rep = minsim.verify(program, e)
     ok = rep.performs and (rep.vertex_disjoint or not want_disjoint)
     tally = _network_tally.setdefault(num, [0, 0])
     tally[0] += 1
@@ -486,15 +488,17 @@ def test_criterion_8_network_semantics():
         for e, choices in _flexible_cases():
             _check_network(3, compile_general4_flexible(e, tree_choices=choices), e)
 
-    # criterion 4 programs, every slice whose index space fits in 4096
+    # criterion 4 programs, every slice whose index space fits in 4096, as
+    # `compile` emits them; each slice's first takes the table form, so the
+    # table conversion is traced at every size
     for s in _MATRIX_RINGS:
         for n in _MATRIX_WIDTHS:
             if s ** n > 4096:
                 continue
             rng = SplitMix64(s * 1000 + n)
-            for _ in range(_MATRICES_PER_SLICE):
+            for k in range(_MATRICES_PER_SLICE):
                 m = random_matrix(s, n, rng)
-                program = to_in_situ(decompose(m))
+                program = (coefficient_program if k else to_in_situ)(decompose(m))
                 e = linear_mapping(m)
                 bijective = math.gcd(_det_mod(m.entries, s), s) == 1
                 if not _check_network(4, program, e, want_disjoint=bijective):

@@ -3,30 +3,28 @@
 The paper bounds linear programs by 2n - 1 assignment matrices, and
 `linmod.decompose` always emits exactly 2n - 1 factors, identity
 factors included.  Here a breadth-first search from the identity over
-all s^(n^2) matrices gives the exact fewest factors of every n x n
-matrix, singular ones too.  One step applies x_k := c.x for a row c,
-which replaces row k of the current matrix A by c^T A; the n * (s^n - 1)
-rows c != e_k are the generators (c = e_k gives A back, which the
-search has already seen).
+all s^(n^2) matrices (`census.matrix_bfs`) gives the exact fewest
+factors of every n x n matrix, singular ones too.  One step applies
+x_k := c.x for a row c, which replaces row k of the current matrix A by
+c^T A.
 
 The census finds 2n - 1 tight at n = 2 for every s below, but not over
 Z/2 at n = 3, where no matrix needs more than 4 factors.  Counting only
 its non-identity factors, `decompose` is at most 1 factor above the
 optimum at n = 2 and at most 2 over Z/2 at n = 3.
 
-`WIDE_CENSUS` goes one notch further, to Z/3 at n = 3 and Z/2 at n = 4:
-no matrix needs more than 4 and 6 factors, again below 2n - 1, and
-`decompose` is at most 2 and 3 factors above the optimum.  It takes
-about half a minute, so `check_wide_census` is left out of the pytest
-run; running the file runs it after the tests.  Needs only the standard
-library, so it also runs without pytest:
+`WIDE_CENSUS` goes one notch further, to Z/3 and Z/4 at n = 3 and Z/2
+at n = 4: no matrix needs more than 4, 4 and 6 factors, again below
+2n - 1, and `decompose` is at most 2, 2 and 3 factors above the optimum.
+Its histograms take about a second and are tier-1 tests; checking
+`decompose` on its 347363 matrices takes about half a minute, so
+`check_wide_census` is left out of the pytest run, and running the file
+runs it after the tests.  Needs numpy; runs without pytest too:
 
     PYTHONPATH=src python tests/test_linear_census.py
 """
 
-import functools
-import itertools
-
+import census
 from insitu.linmod import MatrixMod, ModRing, decompose
 
 # (s, n): matrices with exact length 0, 1, 2, ...; how many `decompose`
@@ -41,10 +39,11 @@ CENSUS = {
     (8, 2): ((1, 126, 3528, 441), 3225, 1),
     (2, 3): ((1, 21, 135, 304, 51), 352, 2),
 }
-# the same, for the entries that take seconds each
+# the same, for the entries whose `decompose` check takes seconds
 WIDE_CENSUS = {
     (3, 3): ((1, 78, 1920, 16444, 1240), 12257, 2),
     (2, 4): ((1, 60, 1254, 11772, 44142, 8304, 3), 26806, 3),
+    (4, 3): ((1, 189, 10707, 204880, 46367), 140691, 2),
 }
 
 
@@ -52,55 +51,27 @@ def identity_rows(n):
     return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
 
-@functools.cache
-def exact_lengths(s, n):
-    """Fewest assignment matrices whose product is each n x n matrix mod s,
-    keyed by the matrix's rows."""
-    ident = identity_rows(n)
-    vectors = list(itertools.product(range(s), repeat=n))
-    dist = {ident: 0}
-    frontier = [ident]
-    depth = 0
-    while frontier:
-        depth += 1
-        nxt = []
-        for a in frontier:
-            cols = list(zip(*a))
-            # c^T A for every row c, shared by the n targets k
-            combos = [tuple(sum(x * y for x, y in zip(c, col)) % s for col in cols)
-                      for c in vectors]
-            for k in range(n):
-                for row in combos:
-                    new = a[:k] + (row,) + a[k + 1:]
-                    if new not in dist:
-                        dist[new] = depth
-                        nxt.append(new)
-        frontier = nxt
-    return dist
-
-
-def check_histograms(census):
-    for (s, n), (histogram, _, _) in census.items():
-        dist = exact_lengths(s, n)
-        assert len(dist) == s ** (n * n), (s, n)
-        counts = [0] * (max(dist.values()) + 1)
-        for length in dist.values():
-            counts[length] += 1
-        assert tuple(counts) == histogram, (s, n, counts)
+def check_histograms(pins):
+    for (s, n), (histogram, _, _) in pins.items():
+        dist = census.matrix_bfs(s, n)
+        assert dist.min() == 0, (s, n)  # every matrix is reached
+        assert census.histogram(dist) == histogram, (s, n, census.histogram(dist))
 
 
 def test_two_n_minus_one_is_tight_at_n2_but_not_over_z2_at_n3():
     for s in (2, 3, 4, 5, 6, 8):
-        assert max(exact_lengths(s, 2).values()) == 2 * 2 - 1
-    assert max(exact_lengths(2, 3).values()) == 4 < 2 * 3 - 1
+        assert census.matrix_bfs(s, 2).max() == 2 * 2 - 1
+    assert census.matrix_bfs(2, 3).max() == 4 < 2 * 3 - 1
 
 
-def check_decompose(census):
-    for (s, n), (_, optimal, excess) in census.items():
+def check_decompose(pins):
+    for (s, n), (_, optimal, excess) in pins.items():
         ring = ModRing.of(s)
         ident = identity_rows(n)
+        dist = census.matrix_bfs(s, n)
         hits, worst = 0, 0
-        for rows, exact in exact_lengths(s, n).items():
+        for entries, exact in zip(census.digits(range(dist.size), s, n * n), dist.tolist()):
+            rows = tuple(map(tuple, entries.reshape(n, n).tolist()))
             p = decompose(MatrixMod.of(ring, rows))
             assert len(p) == 2 * n - 1, (s, n, rows)
             assert p.matrix().entries == rows, (s, n, rows)
@@ -119,18 +90,16 @@ def test_decompose_against_the_census():
     check_decompose(CENSUS)
 
 
+def test_wide_census_histograms():
+    check_histograms(WIDE_CENSUS)
+    # no 3x3 matrix over Z/4 needs more than 4 factors, against 2n - 1 = 5
+    assert census.matrix_bfs(4, 3).max() == 4 < 2 * 3 - 1
+
+
 def check_wide_census():
     check_histograms(WIDE_CENSUS)
     check_decompose(WIDE_CENSUS)
 
 
 if __name__ == "__main__":
-    import sys
-    import time
-
-    for name, fn in list(globals().items()):
-        if name.startswith("test_") or name == "check_wide_census":
-            start = time.perf_counter()
-            fn()
-            print(f"{name}: ok ({time.perf_counter() - start:.2f} s)")
-    print(f"python {sys.version.split()[0]}: census agrees")
+    census.run(globals(), check_wide_census)
