@@ -4,9 +4,9 @@ component of the input vector at a time, with no other storage.
 Compilers: route_bijection (2n - 1 steps), compile_general5 (5n - 4),
 compile_general4_sorted and compile_general4_flexible (4n - 3), and
 decompose for linear mappings mod s (at most 2n - 1 assignment
-matrices).  minsim checks programs as the routings of stage networks
-that they are; oracle gives each method's network, brute-force minimal
-lengths and whole-universe suites.
+matrices).  minsim checks programs as the routings of the stage networks
+of their signatures and draws them; oracle gives each method's
+signature, brute-force minimal lengths and whole-universe suites.
 """
 
 from .core import (
@@ -78,8 +78,8 @@ from .linmod import (
     to_in_situ,
     unit_multipliers,
 )
-from .minsim import Min, RoutingReport, benes_network, butterfly, export_dot, min_of, reversed_butterfly, routing_of, verify
-from .oracle import BudgetExceeded, SuiteReport, exhaustive_suite, full_universe, linear_universe, method_network, min_length_bfs
+from .minsim import RoutingReport, export_dot, routing_of, verify
+from .oracle import BudgetExceeded, SuiteReport, exhaustive_suite, full_universe, linear_universe, method_signature, min_length_bfs
 from .rng import SplitMix64, random_bijection, random_mapping, random_matrix
 
 __version__ = "0.1.0"

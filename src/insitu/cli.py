@@ -124,8 +124,7 @@ def _cmd_compile(args) -> int:
                 return verdict
     if args.dot:
         routing = linmod.coefficient_program(program) if linear else program
-        network = minsim.min_of(routing.signature, routing.alphabet)
-        _write(args.dot, minsim.export_dot(network, routing, labels=args.dot_labels))
+        _write(args.dot, minsim.export_dot(routing, labels=args.dot_labels))
     _write(args.output, out_text)
     return EXIT_OK
 

@@ -51,6 +51,7 @@ ms.  The two cuts:
 from __future__ import annotations
 
 import sys
+from array import array
 from dataclasses import dataclass
 from operator import add, itemgetter
 from typing import Sequence, TypeVar
@@ -63,8 +64,9 @@ _SMALL_INTS = 256
 # the largest s at which two residues add in a byte; up to it, and past
 # _SMALL_INTS indices, traces run on digit planes (see the module docstring)
 _PLANE_MAX_S = 128
-# the byte order of every big int a plane or lane passes through, so that
-# a lane read back by `memoryview.cast` holds the value that was added
+# the byte order of every big int a plane or lane passes through; lanes are
+# read back in host order, and swapped when the two differ, so a lane holds
+# the value that was added
 _ORDER = sys.byteorder
 _LANE_FORMATS = {2: "H", 4: "I", 8: "Q"}
 _T = TypeVar("_T")
@@ -351,7 +353,10 @@ class _Planes:
             lanes = bytearray(size * w)
             lanes[low::w] = digits.to_bytes(size, _ORDER)
             total += int.from_bytes(lanes, _ORDER) * self.powers[start]
-        return memoryview(total.to_bytes(size * w, _ORDER)).cast(_LANE_FORMATS[w]).tolist()
+        out = array(_LANE_FORMATS[w], total.to_bytes(size * w, _ORDER))
+        if _ORDER != sys.byteorder:
+            out.byteswap()
+        return out.tolist()
 
 
 @dataclass(frozen=True)

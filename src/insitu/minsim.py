@@ -14,19 +14,16 @@ mapping, whether the paths stay vertex disjoint, and the final images,
 so one trace serves both the verdict and the first mismatching index.
 Paths that meet at a vertex share every later vertex, so they are
 disjoint at every stage iff the final stage is injective.  `routing_of`
-writes every step as a table, and `export_dot` draws a network with a
-program's edges.
+writes every step as a table, and `export_dot` draws the network of a
+program's signature with the program's edges.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 from .core import (
-    Alphabet,
     Assignment,
-    BadSignature,
     InSituProgram,
     Mapping,
     _unchecked,
@@ -34,54 +31,6 @@ from .core import (
     execute_all,
     vector_of,
 )
-
-
-@dataclass(frozen=True)
-class Min:
-    """A stage network: one exchange stage per signature entry."""
-
-    alphabet: Alphabet
-    signature: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        for t in self.signature:
-            if not 1 <= t <= self.alphabet.n:
-                raise BadSignature(f"stage component {t} out of range [1, {self.alphabet.n}]")
-
-    @property
-    def stages(self) -> int:
-        """Number of vertex columns (one more than the number of exchanges)."""
-        return len(self.signature) + 1
-
-
-def min_of(signature: Sequence[int], alphabet: Alphabet) -> Min:
-    return Min(alphabet, tuple(signature))
-
-
-def butterfly(alphabet: Alphabet) -> Min:
-    """Signature n, n-1, ..., 1."""
-    return Min(alphabet, tuple(range(alphabet.n, 0, -1)))
-
-
-def reversed_butterfly(alphabet: Alphabet) -> Min:
-    """Signature 1, 2, ..., n."""
-    return Min(alphabet, tuple(range(1, alphabet.n + 1)))
-
-
-def benes_network(alphabet: Alphabet) -> Min:
-    """Signature 1, ..., n, ..., 1: reversed butterfly and butterfly fused
-    at their shared component-n stage."""
-    return concat(reversed_butterfly(alphabet), butterfly(alphabet))
-
-
-def concat(a: Min, b: Min) -> Min:
-    """Join two networks; equal components at the junction fuse into one stage."""
-    if a.alphabet != b.alphabet:
-        raise ValueError("alphabet mismatch")
-    sig = a.signature + b.signature
-    if a.signature and b.signature and a.signature[-1] == b.signature[0]:
-        sig = a.signature + b.signature[1:]
-    return Min(a.alphabet, sig)
 
 
 @dataclass(frozen=True)
@@ -115,19 +64,16 @@ def verify(program: InSituProgram, mapping: Mapping) -> RoutingReport:
     return RoutingReport(got.images == tuple(mapping.images), got.is_bijective(), got.images)
 
 
-def export_dot(network: Min, routing: InSituProgram | None = None, labels: str = "index") -> str:
-    """Graphviz DOT text for a network, optionally with the edges a
-    program takes bolded; the program must have the network's alphabet
-    and signature.
+def export_dot(program: InSituProgram, labels: str = "index") -> str:
+    """Graphviz DOT text for the network of a program's signature, with
+    the edges the program takes bolded.
 
     labels="index" numbers vertices; labels="bits" prints digit strings
     most significant component first.  Output is byte-deterministic.
     """
-    if routing is not None and Min(routing.alphabet, routing.signature) != network:
-        raise ValueError("routing belongs to a different network")
     if labels not in ("index", "bits"):
         raise ValueError(f"unknown label style {labels!r}")
-    a = network.alphabet
+    a = program.alphabet
     s = a.s
     size = a.size
 
@@ -142,21 +88,20 @@ def export_dot(network: Min, routing: InSituProgram | None = None, labels: str =
         "  rankdir=LR;",
         '  node [shape=box, fontsize=10, width=0.3, height=0.2];',
     ]
-    for t in range(network.stages):
+    for t in range(len(program) + 1):
         lines.append(f"  subgraph stage{t} {{")
         lines.append("    rank=same;")
         for v in range(size):
             lines.append(f'    "{t}_{v}" [label="{label(v)}"];')
         lines.append("  }")
-    chosen = [] if routing is None else [assignment_table(asg, a) for asg in routing.assignments]
-    for t, component in enumerate(network.signature):
-        pw = s ** (component - 1)
+    for t, asg in enumerate(program.assignments):
+        pw = s ** (asg.target - 1)
+        chosen = assignment_table(asg, a)
         for v in range(size):
             base = v - v // pw % s * pw
-            picked = chosen[t][v] if chosen else None
             for e in range(s):
                 w = base + e * pw
-                if e == picked:
+                if e == chosen[v]:
                     style = "color=black, penwidth=2.0"
                 else:
                     style = "color=gray70, penwidth=0.5"

@@ -3,15 +3,16 @@
 `min_length_bfs` finds the exact minimal program length for a mapping by
 breadth-first search over compositions of single assignments, so compiler
 output lengths can be checked against the true optimum on small spaces.
+`method_signature` spells each method's signature, which is the stage
+network its programs route through and fixes their length.
 `exhaustive_suite` runs a compiler over every input (or a seeded sample)
 of an index space and checks each produced program's signature against
-its method's network, which fixes its length too, and its behavior;
-`linear_suite` does the same for matrices drawn by (s, n), with no index
-space, so any modulus works.  A program that performs a bijection merges
-no paths, so its routing is vertex disjoint without a second check.  The
-suite streams on one thread: it takes one input at a time and keeps only
-counts and the first few failure texts, so its memory does not grow with
-the sample.
+its method's, and its behavior; `linear_suite` does the same for
+matrices drawn by (s, n), with no index space, so any modulus works.  A
+program that performs a bijection merges no paths, so its routing is
+vertex disjoint without a second check.  The suite streams on one
+thread: it takes one input at a time and keeps only counts and the first
+few failure texts, so its memory does not grow with the sample.
 """
 
 from __future__ import annotations
@@ -195,18 +196,20 @@ COMPILERS: dict[str, Callable[[Mapping], InSituProgram]] = {
 }
 
 
-def method_network(method: str, alphabet: Alphabet) -> minsim.Min:
-    """The stage network whose routings a method's programs are, so its
-    signature is theirs and its length their bound: the Benes network
-    (2n - 1 stages) for benes and linear, two of them (4n - 3) for the
-    general4 methods, and a reversed butterfly more (5n - 4) for general5."""
-    benes = minsim.benes_network(alphabet)
+def method_signature(method: str, n: int) -> tuple[int, ...]:
+    """The signature of a method's programs, i.e. the stage network whose
+    routings they are, so its length is their bound: the Benes network
+    1..n..1 (2n - 1 stages) for benes and linear, two of them fused at
+    their junction (4n - 3) for the general4 methods, and a reversed
+    butterfly 1..n more (5n - 4) for general5."""
+    up = tuple(range(1, n + 1))
+    benes = up + up[-2::-1]
     if method in ("benes", "linear"):
         return benes
     if method in ("general4-sorted", "general4-flex"):
-        return minsim.concat(benes, benes)
+        return benes + benes[1:]
     if method == "general5":
-        return minsim.concat(minsim.concat(benes, benes), minsim.reversed_butterfly(alphabet))
+        return benes + benes[1:] + up[1:]
     raise ValueError(f"unknown compiler {method!r}")
 
 
@@ -219,9 +222,9 @@ def _check_linear(signature, m):
     return len(p), None
 
 
-def _check_mapping(network, compile_, e):
+def _check_mapping(signature, compile_, e):
     program = compile_(e)
-    if program.signature != network.signature:
+    if program.signature != signature:
         return len(program), f"mapping {e.images}: signature {program.signature} unexpected"
     if not minsim.verify(program, e).performs:
         return len(program), f"mapping {e.images}: program does not compute the mapping"
@@ -254,9 +257,9 @@ def exhaustive_suite(
     """
     if workers != 1:
         raise ValueError(f"the suite runs on one thread; workers must be 1, got {workers}")
-    network = method_network(compiler, alphabet)
     if compiler == "linear":
         return linear_suite(alphabet.s, alphabet.n, sample, seed)
+    signature = method_signature(compiler, alphabet.n)
     _check_sample(sample)
     size = alphabet.size
     bijective = compiler == "benes"
@@ -274,7 +277,7 @@ def exhaustive_suite(
         raise ValueError("universe too large; pass a sample size")
     compile_ = COMPILERS[compiler]
     return _report(compiler, alphabet.s, alphabet.n,
-                   (_check_mapping(network, compile_, e) for e in inputs))
+                   (_check_mapping(signature, compile_, e) for e in inputs))
 
 
 def linear_suite(s: int, n: int, sample: int | None = None, seed: int = 0) -> SuiteReport:
@@ -287,7 +290,7 @@ def linear_suite(s: int, n: int, sample: int | None = None, seed: int = 0) -> Su
     if not 1 <= n <= _MAX_INDEX_BITS:
         raise ValueError(f"dimension must be in [1, {_MAX_INDEX_BITS}], got {n}")
     _check_sample(sample)
-    signature = (*range(1, n + 1), *range(n - 1, 0, -1))
+    signature = method_signature("linear", n)
     rng = SplitMix64(seed)
     matrices = (random_matrix(s, n, rng) for _ in range(1000 if sample is None else sample))
     return _report("linear", s, n, (_check_linear(signature, m) for m in matrices))

@@ -73,18 +73,25 @@ def _check_network(num, program, e, want_disjoint=None):
     """Trace the program through its stage network and verify semantics;
     a program is its own routing, with table and coefficient steps alike.
 
-    Returns True when the routing performs e and, for bijections, is
-    vertex-disjoint.  Tallied per criterion for the criterion 8 audit.
+    Returns None when the routing performs e and, for bijections, is
+    vertex-disjoint, and otherwise what failed; criteria 1-3 trace each
+    program here and nowhere else.  Tallied per criterion for the
+    criterion 8 audit.
     """
     if want_disjoint is None:
         want_disjoint = e.is_bijective()
     rep = minsim.verify(program, e)
-    ok = rep.performs and (rep.vertex_disjoint or not want_disjoint)
+    if not rep.performs:
+        fail = "wrong mapping"
+    elif want_disjoint and not rep.vertex_disjoint:
+        fail = "routing not vertex disjoint"
+    else:
+        fail = None
     tally = _network_tally.setdefault(num, [0, 0])
     tally[0] += 1
-    if not ok:
+    if fail:
         tally[1] += 1
-    return ok
+    return fail
 
 
 def _up_down(n):
@@ -144,10 +151,8 @@ def test_criterion_1_bijective_routing():
             failures.append(f"{e.images}: signature {p.signature}")
         elif len(p) > 2 * n - 1:
             failures.append(f"{e.images}: length {len(p)}")
-        elif execute_all(p).images != e.images:
-            failures.append(f"{e.images}: wrong mapping")
-        elif not _check_network(1, p, e, want_disjoint=True):
-            failures.append(f"{e.images}: routing not performing or not disjoint")
+        elif fail := _check_network(1, p, e, want_disjoint=True):
+            failures.append(f"{e.images}: {fail}")
     elapsed = time.perf_counter() - t0
     ok = not failures and elapsed < 10.0
     _report(1, ok, f"{checked} bijections routed in {elapsed:.1f}s, "
@@ -187,10 +192,8 @@ def test_criterion_2_general_compilers():
         checked += 1
         if len(p) > bound:
             failures.append(f"{fn.__name__}{e.images}: length {len(p)} > {bound}")
-        elif execute_all(p).images != e.images:
-            failures.append(f"{fn.__name__}{e.images}: wrong mapping")
-        elif not _check_network(2, p, e):
-            failures.append(f"{fn.__name__}{e.images}: network check failed")
+        elif fail := _check_network(2, p, e):
+            failures.append(f"{fn.__name__}{e.images}: {fail}")
     elapsed = time.perf_counter() - t0
     ok = not failures and elapsed < 60.0
     _report(2, ok, f"{checked} compilations (768 exhaustive at n=2, "
@@ -221,10 +224,8 @@ def test_criterion_3_flexible_choices():
         checked += 1
         if len(p) > 9:
             failures.append(f"{e.images} {choices}: length {len(p)}")
-        elif execute_all(p).images != e.images:
-            failures.append(f"{e.images} {choices}: wrong mapping")
-        elif not _check_network(3, p, e):
-            failures.append(f"{e.images} {choices}: network check failed")
+        elif fail := _check_network(3, p, e):
+            failures.append(f"{e.images} {choices}: {fail}")
     elapsed = time.perf_counter() - t0
     ok = not failures
     _report(3, ok, f"100 mappings x 128 tree choices = {checked} compilations "
@@ -501,8 +502,8 @@ def test_criterion_8_network_semantics():
                 program = (coefficient_program if k else to_in_situ)(decompose(m))
                 e = linear_mapping(m)
                 bijective = math.gcd(_det_mod(m.entries, s), s) == 1
-                if not _check_network(4, program, e, want_disjoint=bijective):
-                    failures.append(f"s={s} n={n} {m.entries}")
+                if fail := _check_network(4, program, e, want_disjoint=bijective):
+                    failures.append(f"s={s} n={n} {m.entries}: {fail}")
 
     slices = sum(1 for s in _MATRIX_RINGS for n in _MATRIX_WIDTHS if s ** n <= 4096)
     expected = dict(_EXPECTED_TALLIES)

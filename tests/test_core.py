@@ -54,7 +54,7 @@ from insitu.linmod import (
     linear_mapping,
 )
 from insitu.minsim import routing_of
-from insitu.oracle import exhaustive_suite, method_network
+from insitu.oracle import exhaustive_suite, method_signature
 from insitu.rng import SplitMix64, random_bijection, random_mapping
 
 
@@ -395,7 +395,7 @@ def test_invert_program_whole_universes():
     # and a seeded sample of the 9! bijections of 3^2
     for s, n in [(2, 2), (3, 1), (4, 1), (5, 1), (7, 1), (2, 3)]:
         a = Alphabet(s, n)
-        benes = method_network("benes", a).signature
+        benes = method_signature("benes", n)
         for images in itertools.permutations(range(a.size)):
             e = Mapping(a, images)
             assert _check_inverse(route_bijection(e), e).signature == benes
@@ -416,7 +416,7 @@ def test_invert_program_at_every_s():
                 p = route(e)
                 q = _check_inverse(p, e)
                 if route is route_bijection:
-                    assert q.signature == method_network("benes", a).signature
+                    assert q.signature == method_signature("benes", n)
                 assert invert_program(q) == p
 
 

@@ -25,6 +25,7 @@ Needs only the standard library, so it also runs without pytest:
 """
 
 import itertools
+import sys
 from operator import itemgetter
 
 from insitu import blockseq, core
@@ -322,6 +323,27 @@ def test_traces_match_the_gather_loop():
     assert _trace_mismatches(SHAPES) == []
 
 
+def test_traces_in_the_other_byte_order_match_the_gather_loop():
+    # planes and lanes pass through big ints in the byte order `_ORDER`,
+    # the host's; set to the other order, digits widen into the other end
+    # of each lane and the lanes are swapped as they are read back, so the
+    # big-endian path runs on a little-endian host and the other way round
+    shapes = [(2, 12), (8, 4), (3, 8)]
+    real = core._ORDER
+    core._ORDER = "big" if sys.byteorder == "little" else "little"
+    try:
+        traces = _trace_mismatches(shapes)
+        linear = []
+        for s, n in shapes:
+            rng = SplitMix64(8000 * s + n)
+            m = MatrixMod.of(ModRing(s), [[rng.below(s) for _ in range(n)] for _ in range(n)])
+            if linear_mapping(m).images != _ref_linear_mapping(m):
+                linear.append((s, n))
+    finally:
+        core._ORDER = real
+    assert traces == [] and linear == []
+
+
 def test_plane_sums_reduce_partway_through_a_row():
     # at s = 127 and 128 a byte lane holds the sum of two residues but not
     # of three, so a row of three nonzero coefficients is reduced partway
@@ -377,8 +399,6 @@ def test_a_base_off_by_one_place_value_fails():
 
 
 if __name__ == "__main__":
-    import sys
-
     for name, fn in list(globals().items()):
         if name.startswith("test_"):
             fn()

@@ -2,52 +2,13 @@ import itertools
 
 import pytest
 
-from insitu import Alphabet, BadSignature, Mapping, assignment_table, execute_all
+from insitu import Alphabet, Assignment, InSituProgram, Mapping, assignment_table, execute_all
 from insitu.benes import route_bijection
 from insitu.blockseq import compile_general4_flexible
 from insitu.factor import compile_general4_sorted, compile_general5
 from insitu.linmod import MatrixMod, ModRing, coefficient_program, decompose, linear_mapping
-from insitu.minsim import (
-    benes_network,
-    butterfly,
-    concat,
-    export_dot,
-    min_of,
-    reversed_butterfly,
-    routing_of,
-    verify,
-)
+from insitu.minsim import export_dot, routing_of, verify
 from insitu.rng import SplitMix64, random_bijection, random_mapping
-
-
-def test_network_shapes():
-    a = Alphabet(2, 3)
-    assert butterfly(a).signature == (3, 2, 1)
-    assert reversed_butterfly(a).signature == (1, 2, 3)
-    b = benes_network(a)
-    assert b.signature == (1, 2, 3, 2, 1)
-    assert b.stages == 6
-
-
-def test_concat_fuses_junction():
-    a = Alphabet(2, 2)
-    double = concat(benes_network(a), benes_network(a))
-    assert double.signature == (1, 2, 1, 2, 1)
-    apart = concat(butterfly(a), butterfly(a))
-    assert apart.signature == (2, 1, 2, 1)
-    # the 4n - 3 compiler shape: reversed butterfly, butterfly, reversed
-    # butterfly, butterfly, fused at all three junctions
-    four = concat(concat(benes_network(a), reversed_butterfly(a)), butterfly(a))
-    assert four.signature == (1, 2, 1, 2, 1)
-    assert len(four.signature) == 4 * 2 - 3
-
-
-def test_bad_signature():
-    a = Alphabet(2, 2)
-    with pytest.raises(BadSignature):
-        min_of((1, 3), a)
-    with pytest.raises(BadSignature):
-        min_of((0,), a)
 
 
 def test_verify_identity():
@@ -171,51 +132,46 @@ def test_verify_alphabet_mismatch():
         verify(routing_of(p), Mapping.identity(Alphabet(2, 3)))
 
 
+def _one_step(a):
+    # the identity on component 1, as one coefficient step
+    return InSituProgram(a, (Assignment(1, coeffs=(1,) + (0,) * (a.n - 1)),))
+
+
 def test_export_dot_structure():
     a = Alphabet(2, 2)
-    net = benes_network(a)
-    text = export_dot(net)
+    p = route_bijection(Mapping(a, (2, 0, 3, 1)))
+    text = export_dot(p)
     assert text.startswith("digraph min {")
     assert text.endswith("}\n")
     # 4 stages of vertices and 3 exchanges of 4 vertices x 2 edges
-    assert text.count("[label=") == net.stages * a.size
-    assert text.count(" -> ") == len(net.signature) * a.size * a.s
-    assert export_dot(net) == export_dot(net)
+    assert text.count("[label=") == (len(p) + 1) * a.size
+    assert text.count(" -> ") == len(p) * a.size * a.s
+    assert export_dot(p) == export_dot(p)
 
 
 def test_export_dot_routing_bold_edges():
+    # one chosen edge per vertex per stage, table and coefficient steps alike
     a = Alphabet(2, 2)
     e = Mapping(a, (1, 0, 3, 2))
     p = route_bijection(e)
-    routing = routing_of(p)
-    text = export_dot(benes_network(a), routing)
-    # one chosen edge per vertex per stage
-    assert text.count("penwidth=2.0") == len(p) * a.size
-    report = verify(routing, e)
-    assert report.performs
+    assert export_dot(p).count("penwidth=2.0") == len(p) * a.size
+    assert verify(routing_of(p), e).performs
+    p = route_bijection(Mapping.identity(Alphabet(3, 2)))
+    assert export_dot(p).count("penwidth=2.0") == 3 * 9
+    assert export_dot(routing_of(p)) == export_dot(p)
 
 
 def test_export_dot_bit_labels():
-    a = Alphabet(2, 2)
-    text = export_dot(min_of((1,), a), labels="bits")
+    text = export_dot(_one_step(Alphabet(2, 2)), labels="bits")
     assert '[label="01"]' in text
     assert '[label="10"]' in text
     with pytest.raises(ValueError):
-        export_dot(min_of((1,), a), labels="octal")
+        export_dot(_one_step(Alphabet(2, 2)), labels="octal")
 
 
 def test_export_dot_wide_alphabet_labels():
-    a = Alphabet(12, 1)
-    text = export_dot(min_of((1,), a), labels="bits")
+    text = export_dot(_one_step(Alphabet(12, 1)), labels="bits")
     assert '[label="11"]' in text
-    with pytest.raises(ValueError):
-        export_dot(min_of((1,), Alphabet(2, 2)),
-                   routing=routing_of(route_bijection(Mapping.identity(Alphabet(2, 2)))))
-
-
-def test_export_dot_rejects_other_alphabet():
-    # same signature, other alphabet
-    p = route_bijection(Mapping.identity(Alphabet(3, 2)))
-    with pytest.raises(ValueError, match="different network"):
-        export_dot(min_of(p.signature, Alphabet(2, 2)), p)
-    assert export_dot(min_of(p.signature, Alphabet(3, 2)), p).count("penwidth=2.0") == 3 * 9
+    # past s = 10 a digit may take two characters, so digits are dotted
+    text = export_dot(_one_step(Alphabet(12, 2)), labels="bits")
+    assert '[label="11.0"]' in text

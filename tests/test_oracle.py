@@ -3,7 +3,16 @@ import tracemalloc
 
 import pytest
 
-from insitu import Alphabet, Mapping, component_permutation, linmod, oracle, permutation_length_bound
+from insitu import (
+    Alphabet,
+    Assignment,
+    InSituProgram,
+    Mapping,
+    component_permutation,
+    linmod,
+    oracle,
+    permutation_length_bound,
+)
 from insitu.benes import route_bijection, route_bijection_reversed
 from insitu.cli import EXIT_MISMATCH, main
 from insitu.oracle import (
@@ -13,7 +22,7 @@ from insitu.oracle import (
     exhaustive_suite,
     full_universe,
     linear_universe,
-    method_network,
+    method_signature,
     min_length_bfs,
 )
 from insitu.rng import SplitMix64, random_matrix
@@ -56,20 +65,25 @@ def test_transitions_are_built_only_to_expand(monkeypatch):
 
 @pytest.mark.parametrize("s", [2, 3])
 def test_method_networks_have_the_papers_lengths(s):
+    # a network is a signature; each is one of a program over s^n, so its
+    # stages name components 1..n
     for n in range(1, 9):
         a = Alphabet(s, n)
-        lengths = {m: len(method_network(m, a).signature) for m in (*COMPILERS, "linear")}
+        signatures = {m: method_signature(m, n) for m in (*COMPILERS, "linear")}
+        lengths = {m: len(sig) for m, sig in signatures.items()}
         assert lengths == {"benes": 2 * n - 1, "general5": 5 * n - 4, "general4-sorted": 4 * n - 3,
                            "general4-flex": 4 * n - 3, "linear": 2 * n - 1}
+        for sig in signatures.values():
+            steps = tuple(Assignment(t, coeffs=(0,) * n) for t in sig)
+            assert InSituProgram(a, steps).signature == sig
 
 
 def test_method_network_signatures():
-    a = Alphabet(2, 3)
-    assert method_network("benes", a).signature == (1, 2, 3, 2, 1)
-    assert method_network("general4-flex", a).signature == (1, 2, 3, 2, 1, 2, 3, 2, 1)
-    assert method_network("general5", a).signature == (1, 2, 3, 2, 1, 2, 3, 2, 1, 2, 3)
+    assert method_signature("benes", 3) == (1, 2, 3, 2, 1)
+    assert method_signature("general4-flex", 3) == (1, 2, 3, 2, 1, 2, 3, 2, 1)
+    assert method_signature("general5", 3) == (1, 2, 3, 2, 1, 2, 3, 2, 1, 2, 3)
     with pytest.raises(ValueError, match="unknown compiler 'bogus'"):
-        method_network("bogus", a)
+        method_signature("bogus", 3)
 
 
 def test_component_permutations_meet_lower_bound():

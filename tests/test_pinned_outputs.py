@@ -8,6 +8,7 @@ import pytest
 from insitu import Alphabet, benes, minsim, oracle
 from insitu.benes import edge_color, route_bijection, route_bijection_reversed, suffix_graph
 from insitu.blockseq import compile_general4_flexible
+from insitu.cli import EXIT_OK, main
 from insitu.factor import compile_general4_sorted, compile_general5
 from insitu.formats import format_linear_program, format_program
 from insitu.linmod import MatrixMod, ModRing, decompose
@@ -135,7 +136,7 @@ def test_pinned_programs_check_out(kind, s, n, compiler):
     program = COMPILE[compiler](e)
     report = minsim.verify(program, e)
     assert report.performs
-    signature = oracle.method_network(compiler.removesuffix("-reversed"), a).signature
+    signature = oracle.method_signature(compiler.removesuffix("-reversed"), n)
     if compiler == "benes-reversed":
         signature = tuple(n + 1 - t for t in signature)
     assert program.signature == signature
@@ -171,3 +172,30 @@ def test_linear_factors_are_pinned(s, n, digest):
     m = MatrixMod.of(ModRing.of(s), [[rng.below(s) for _ in range(n)] for _ in range(n)])
     text = format_linear_program(decompose(m))
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+# SHA-256 of the DOT text `compile --dot` writes: table programs at 2^2,
+# 3^2 (bit labels) and 2^3, and coefficient programs mod 6 and mod 12,
+# whose bit labels are dotted since s > 10
+DOT_PINS = [
+    ("2 2\n2 0 3 1\n", "benes", "index",
+     "1b08afe58b7e79131533420b54d80b8293a513dfe01a99ff2bb90bc1fde9766c"),
+    ("3 2\n4 0 7 2 8 1 5 3 6\n", "benes", "bits",
+     "26b8aeb0a704a3cb4058453dea560d7dd0ef362c88e50ed71d44cffa0c259115"),
+    ("2 3\n3 3 0 5 7 1 1 6\n", "general4-flex", "index",
+     "4039e1be7310cdee8d5395519da18c52b160a9759ebafb88483cfacedadc78c6"),
+    ("6 2\n1 2\n3 5\n", "linear", "index",
+     "ef45b9f7950995e6e1e35b3fbaca1a888e72f7a76ffbc917af52acb0d67ab574"),
+    ("12 1\n5\n", "linear", "bits",
+     "55a1016293a6a9ccb5ed9f612db34e95ab7a9c49b78c61ee24cd90d7c51f71fb"),
+]
+
+
+@pytest.mark.parametrize("text,method,labels,digest", DOT_PINS, ids=[
+    f"{method}-{'^'.join(text.split()[:2])}-{labels}" for text, method, labels, _ in DOT_PINS])
+def test_dot_text_is_pinned(text, method, labels, digest, tmp_path):
+    src, dot = tmp_path / "input", tmp_path / "net.dot"
+    src.write_text(text, encoding="utf-8")
+    assert main(["compile", str(src), "--method", method, "--dot", str(dot),
+                 "--dot-labels", labels, "-o", str(tmp_path / "out.prog")]) == EXIT_OK
+    assert hashlib.sha256(dot.read_bytes()).hexdigest() == digest
