@@ -156,9 +156,18 @@ def test_export_dot_routing_bold_edges():
     p = route_bijection(e)
     assert export_dot(p).count("penwidth=2.0") == len(p) * a.size
     assert verify(routing_of(p), e).performs
+
+
+def test_export_dot_rejects_other_alphabet():
+    # the network drawn is the one on the program's own alphabet; the same
+    # routing cannot be put on another alphabet with the same signature
     p = route_bijection(Mapping.identity(Alphabet(3, 2)))
-    assert export_dot(p).count("penwidth=2.0") == 3 * 9
-    assert export_dot(routing_of(p)) == export_dot(p)
+    text = export_dot(p)
+    assert text.count("penwidth=2.0") == 3 * 9
+    assert text.count(" -> ") == len(p) * 9 * 3
+    assert export_dot(routing_of(p)) == text
+    with pytest.raises(ValueError, match="table needs 4 entries"):
+        InSituProgram(Alphabet(2, 2), routing_of(p).assignments)
 
 
 def test_export_dot_bit_labels():
