@@ -3,6 +3,8 @@
 `min_length_bfs` finds the exact minimal program length for a mapping by
 breadth-first search over compositions of single assignments, so compiler
 output lengths can be checked against the true optimum on small spaces.
+It codes a state in one byte per index, so it composes a step with one
+`bytes.translate` and takes at most 256 indices.
 `method_signature` spells each method's signature, which is the stage
 network its programs route through and fixes their length.
 `exhaustive_suite` runs a compiler over every input (or a seeded sample)
@@ -18,9 +20,8 @@ few failure texts, so its memory does not grow with the sample.
 from __future__ import annotations
 
 import itertools
-import operator
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from . import blockseq, factor, linmod, minsim
 from .benes import route_bijection
@@ -39,6 +40,8 @@ from .core import (
 from .rng import SplitMix64, random_bijection, random_mapping, random_matrix
 
 _FULL_UNIVERSE_CAP = 65536
+_BYTE_LANES = 256  # a state holds one byte per index
+_TEST_CHUNK = 4096  # states joined per one-step test, so the copies stay small
 _ENUM_MAPPINGS_CAP = 4096
 _ENUM_BIJECTIONS_CAP = 5040
 _SHOWN_FAILURES = 20  # failure texts a suite report keeps, and prints
@@ -50,17 +53,20 @@ class BudgetExceeded(InSituError):
 
 def full_universe(alphabet: Alphabet) -> list[Assignment]:
     """Every single assignment over the alphabet: all tables, all targets."""
+    return [Assignment(target, table=tab) for tab, target in _full_steps(alphabet)]
+
+
+def _full_steps(alphabet: Alphabet) -> Iterator[tuple[tuple[int, ...], int]]:
+    # the (table, target) pairs of the full universe, in its order; the cap
+    # is checked here, at the call, not when the pairs are first read
     size = alphabet.size
     # n * s^size is refused by bounded products, so s^size is never built
     if not _product_leq(itertools.chain([alphabet.n], (alphabet.s for _ in range(size))),
                         _FULL_UNIVERSE_CAP):
         raise BudgetExceeded(f"{alphabet.n}*{alphabet.s}^{size} assignments, over the cap "
                              f"of {_FULL_UNIVERSE_CAP}; restrict the universe instead")
-    out = []
-    for target in range(1, alphabet.n + 1):
-        for tab in itertools.product(range(alphabet.s), repeat=size):
-            out.append(Assignment(target, table=tab))
-    return out
+    return ((tab, target) for target in range(1, alphabet.n + 1)
+            for tab in itertools.product(range(alphabet.s), repeat=size))
 
 
 def linear_universe(alphabet: Alphabet) -> list[Assignment]:
@@ -85,72 +91,101 @@ def min_length_bfs(
     program within max_len steps over the universe exists.
 
     The default universe is every possible assignment.  States are the
-    mappings computed so far, searched breadth first.  Each level is
-    tested before it is expanded: a state is one step from e when it
-    agrees with e on every component but one, i, and the values it holds
-    determine component i of e through some table for i in the universe.
-    So the states of level max_len are never built; the levels below it
-    are stored, and more than max_states stored states raise
-    BudgetExceeded.  A negative max_len or max_states is a ValueError.
+    mappings computed so far, searched breadth first, each coded as a
+    `bytes` with one lane per index; a step is a 256-byte translate
+    table, so the oracle takes at most 256 indices and refuses a bigger
+    space with BudgetExceeded.  Each level is tested before it is
+    expanded: a state is one step from e when it agrees with e on every
+    component but one, i, and the values it holds determine component i
+    of e through some table for i in the universe, which any function of
+    them is when the universe holds every table for i.  So the states of
+    level max_len are never built; the levels below it are stored, and
+    more than max_states stored states raise BudgetExceeded.  A negative
+    max_len or max_states is a ValueError.
     """
     if max_len < 0 or max_states < 0:
         raise ValueError(f"max_len and max_states must not be negative, "
                          f"got {max_len} and {max_states}")
     a = e.alphabet
-    if universe is None:
-        universe = full_universe(a)
-    target = tuple(e.images)
-    ident = tuple(range(a.size))
-    if target == ident:
+    s, size = a.s, a.size
+    full = _full_steps(a) if universe is None else None  # refused past its cap first
+    if tuple(e.images) == tuple(range(size)):
         return 0
-    steps = [(assignment_table(asg, a), asg.target) for asg in universe]
-    tables: dict[int, list[Sequence[int]]] = {}
-    for tab, i in steps:
-        tables.setdefault(i, []).append(tab)
-    # for each component i that the universe writes: every index with digit i
-    # zeroed, the target's images so zeroed and their digit i, and i's tables
+    if size > _BYTE_LANES:
+        raise BudgetExceeded(f"{s}^{a.n} indices; the oracle codes a state in one byte "
+                             f"per index, so it takes at most {_BYTE_LANES}")
+    if full is None:
+        steps = [(assignment_table(asg, a), asg.target) for asg in universe]
+        # i's tables, or None where the universe holds all s^size of them:
+        # then any function of the state's values is a table for i
+        scans: dict[int, list[Sequence[int]] | None] = {}
+        for tab, i in steps:
+            scans.setdefault(i, []).append(tab)
+        for i, tabs in scans.items():
+            if len(set(map(tuple, tabs))) == s ** size:
+                scans[i] = None
+    else:
+        steps = list(full)
+        scans = dict.fromkeys(range(1, a.n + 1))
+    pad = bytes(_BYTE_LANES - size)  # a translate table has 256 entries
+    target = bytes(e.images)
+    # for each component i that the universe writes: the table that zeroes
+    # digit i, the target so zeroed, its digit i, and i's tables to scan
     checks = []
-    for i, tabs in tables.items():
-        pw = a.s ** (i - 1)
-        rest = _digit_runs(pw, a.s, a.size, pw * a.s)
-        checks.append((rest, operator.itemgetter(*target)(rest),
-                       [t // pw % a.s for t in target], tabs))
+    for i, tabs in scans.items():
+        pw = s ** (i - 1)
+        rest = bytes(_digit_runs(pw, s, size, pw * s)) + pad
+        checks.append((rest, target.translate(rest), bytes(t // pw % s for t in target), tabs))
 
-    def one_step(state):
-        pick = operator.itemgetter(*state)  # a tuple, since size >= 2
-        for rest, target_rest, target_digit, tabs in checks:
-            if pick(rest) != target_rest:  # state and target differ off component i
-                continue
-            want: dict[int, int] = {}  # tab[x] that component i of the target needs
-            if any(want.setdefault(x, d) != d for x, d in zip(state, target_digit)):
-                continue
-            if any(all(tab[x] == d for x, d in want.items()) for tab in tabs):
-                return True
+    def one_step(level):
+        # the states of a level end to end, a chunk at a time, so that each
+        # zeroing is one translate: a state agrees with e off i where the
+        # zeroed states hold e's zeroed images at a multiple of size
+        for start in range(0, len(level), _TEST_CHUNK):
+            lanes = b"".join(level[start:start + _TEST_CHUNK])
+            for rest, target_rest, digit, tabs in checks:
+                zeroed = lanes.translate(rest)
+                at = zeroed.find(target_rest)
+                while at >= 0:
+                    if at % size == 0 and _reaches(lanes[at:at + size], digit, tabs):
+                        return True
+                    at = zeroed.find(target_rest, at - at % size + size)
         return False
 
+    ident = bytes(range(size))
     visited = {ident}
     frontier = [ident]
-    trans: list[list[int]] = []  # built when a level is first expanded
+    trans: list[bytes] = []  # built when a level is first expanded
     for depth in range(1, max_len + 1):
-        if any(map(one_step, frontier)):
+        if one_step(frontier):
             return depth
         if depth == max_len:
             return None
-        trans = trans or [step_images(tab, i, a) for tab, i in steps]
+        trans = trans or [bytes(step_images(tab, i, a)) + pad for tab, i in steps]
         nxt = []
         for state in frontier:
-            compose = operator.itemgetter(*state)  # a tuple, since size >= 2
-            for tr in trans:
-                new = compose(tr)
-                if new not in visited:
-                    visited.add(new)
-                    nxt.append(new)
-                    if len(visited) > max_states:
-                        raise BudgetExceeded(f"more than {max_states} states stored")
+            new = set(map(state.translate, trans))
+            new -= visited
+            visited |= new
+            nxt += new
+            if len(visited) > max_states:
+                raise BudgetExceeded(f"more than {max_states} states stored")
         if not nxt:
             return None
         frontier = nxt
     return None
+
+
+def _reaches(state: bytes, digit: bytes, tabs: list[Sequence[int]] | None) -> bool:
+    # for a state that agrees with the target off component i: whether the
+    # values it holds give digit i of the target through a table in tabs,
+    # where None stands for every table
+    if len(set(zip(state, digit))) != len(set(state)):  # a value needs two digits
+        return False
+    if tabs is None:
+        return True
+    want = dict(zip(state, digit))  # tab[x] that digit i of the target needs
+    return any(all(tab[x] == d for x, d in want.items()) for tab in tabs)
 
 
 @dataclass(frozen=True)

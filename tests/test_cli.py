@@ -358,6 +358,8 @@ def test_oversized_index_spaces_are_refused_before_allocation(tmp_path):
     # with 1 GiB of address space, so a regression fails here instead of
     # exhausting memory
     huge = write(tmp_path / "huge.map", "3 100000000000000000000\n0\n")
+    # the full universe of 2^4 has 4*2^16 assignments, over the oracle's cap
+    wide = write(tmp_path / "wide.map", "2 4\n" + " ".join(["0"] * 16) + "\n")
     cases = [
         ("random mapping --s 2 --n 40", EXIT_DOMAIN),
         ("random bijection --s 2 --n 21", EXIT_DOMAIN),
@@ -370,6 +372,7 @@ def test_oversized_index_spaces_are_refused_before_allocation(tmp_path):
         (f"compile {huge} --method benes", EXIT_USAGE),
         ("random matrix --s 2 --n 100000", EXIT_DOMAIN),
         ("full_universe 2 64", EXIT_DOMAIN),
+        (f"oracle {wide}", EXIT_DOMAIN),
     ]
     proc = subprocess.run(
         [sys.executable, "-c", _SIZE_CASES], input="\n".join(argv for argv, _ in cases),

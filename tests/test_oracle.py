@@ -25,7 +25,8 @@ from insitu.oracle import (
     method_signature,
     min_length_bfs,
 )
-from insitu.rng import SplitMix64, random_matrix
+from insitu.rng import SplitMix64, random_bijection, random_mapping, random_matrix
+from test_oracle_reference import _reference_bfs
 
 
 def test_universe_sizes():
@@ -123,6 +124,37 @@ def test_unreachable_returns_none():
     a = Alphabet(2, 2)
     e = Mapping(a, (0, 1, 2, 0))
     assert min_length_bfs(e, 4, universe=linear_universe(a)) is None
+
+
+def test_default_universe_matches_the_reference():
+    # with no universe the search reads the full universe's (table, target)
+    # pairs and builds no assignment; the command line takes that path, so
+    # it must agree with the explicit full universe and the reference
+    a = Alphabet(2, 2)
+    inputs = [(Mapping(a, images), 8) for images in itertools.product(range(4), repeat=4)]
+    rng = SplitMix64(29)
+    a = Alphabet(2, 3)
+    inputs += [(draw(a, rng), 2) for draw in (random_mapping, random_bijection) for _ in range(4)]
+    for e, max_len in inputs:
+        universe = full_universe(e.alphabet)
+        expected = _reference_bfs(e, max_len, universe=universe)
+        assert min_length_bfs(e, max_len) == expected, e.images
+        assert min_length_bfs(e, max_len, universe=universe) == expected, e.images
+
+
+def test_more_than_256_indices_are_refused_before_any_state(monkeypatch):
+    # a state is one byte per index; only a hand-passed universe gets past
+    # the full universe's cap to 2^9 indices, and no table or state is built
+    calls = []
+    for name in ("assignment_table", "step_images"):
+        monkeypatch.setattr(oracle, name, lambda *args: calls.append(args))
+    a = Alphabet(2, 9)
+    universe = [Assignment(1, table=tuple(v % 2 for v in range(a.size)))]
+    e = Mapping(a, (1, *range(1, a.size)))
+    with pytest.raises(BudgetExceeded, match="one byte per index"):
+        min_length_bfs(e, 3, universe=universe)
+    assert calls == []
+    assert min_length_bfs(Mapping.identity(a), 3, universe=universe) == 0
 
 
 def test_suite_all_boolean_bijections():
