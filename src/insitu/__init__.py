@@ -22,10 +22,8 @@ from .core import (
     assignment_table,
     component_permutation,
     concat,
-    cycle_program,
     execute,
     execute_all,
-    index_of,
     invert_program,
     merge_adjacent,
     permutation_length_bound,
@@ -45,7 +43,6 @@ from .factor import (
     compile_general5,
     factor_by_classes,
     forward_program,
-    is_distance_compatible,
     preimage_classes,
 )
 from .blockseq import (
@@ -56,7 +53,6 @@ from .blockseq import (
     NotSuffixCompatible,
     compile_general4_flexible,
     compose_forward_program,
-    is_block_sequence,
     is_suffix_compatible,
     make_block_sequence,
     permute_block_tree,
@@ -79,7 +75,7 @@ from .linmod import (
     unit_multipliers,
 )
 from .minsim import RoutingReport, export_dot, routing_of, verify
-from .oracle import BudgetExceeded, SuiteReport, exhaustive_suite, full_universe, linear_universe, method_signature, min_length_bfs
+from .oracle import BudgetExceeded, SuiteReport, exhaustive_suite, full_universe, method_signature, min_length_bfs
 from .rng import SplitMix64, random_bijection, random_mapping, random_matrix
 
 __version__ = "0.1.0"

@@ -55,21 +55,6 @@ def _log2_exact(count: int) -> int:
     return n
 
 
-def is_block_sequence(values: Sequence[int]) -> bool:
-    """True iff every aligned block of 2^i entries sums to a multiple of 2^i."""
-    n = _log2_exact(len(values))
-    cur = list(values)
-    for _ in range(n):
-        nxt = []
-        for j in range(0, len(cur), 2):
-            total = cur[j] + cur[j + 1]
-            if total % 2:
-                return False
-            nxt.append(total // 2)
-        cur = nxt
-    return True
-
-
 @dataclass(frozen=True)
 class BlockSequence:
     """A validated block sequence of length 2^n."""
@@ -79,22 +64,18 @@ class BlockSequence:
     def __post_init__(self) -> None:
         if any(v < 0 for v in self.values):
             raise ValueError("block sequence values must be non-negative")
-        if not is_block_sequence(self.values):
-            raise ValueError("not a block sequence")
+        # every aligned block of 2^i entries sums to a multiple of 2^i:
+        # level by level, each pair of block values has an even sum
+        cur = self.values
+        for _ in range(_log2_exact(len(cur))):
+            sums = [x + y for x, y in zip(cur[0::2], cur[1::2])]
+            if any(v % 2 for v in sums):
+                raise ValueError("not a block sequence")
+            cur = [v // 2 for v in sums]
 
     @property
     def n(self) -> int:
         return len(self.values).bit_length() - 1
-
-    def tree(self) -> tuple[tuple[int, ...], ...]:
-        """Block values by level: level i lists the sums of the aligned
-        2^i-blocks divided by 2^i; level 0 is the sequence itself."""
-        levels = [tuple(self.values)]
-        cur = list(self.values)
-        while len(cur) > 1:
-            cur = [(cur[j] + cur[j + 1]) // 2 for j in range(0, len(cur), 2)]
-            levels.append(tuple(cur))
-        return tuple(levels)
 
 
 def make_block_sequence(values: Sequence[int]) -> tuple[BlockSequence, tuple[int, ...]]:

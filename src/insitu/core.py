@@ -100,6 +100,7 @@ class Alphabet:
     n: int
 
     def __post_init__(self) -> None:
+        _check_ints((self.s, self.n), "alphabet size or arity")
         if self.s < 2:
             raise ValueError(f"alphabet size must be at least 2, got {self.s}")
         if self.n < 1:
@@ -121,18 +122,6 @@ class Alphabet:
             out.append(p)
             p *= self.s
         return tuple(out)
-
-
-def index_of(vector: Sequence[int], alphabet: Alphabet) -> int:
-    """Index of a vector; component 1 is the least significant digit."""
-    if len(vector) != alphabet.n:
-        raise ValueError(f"expected {alphabet.n} components, got {len(vector)}")
-    idx = 0
-    for d in reversed(vector):
-        if not 0 <= d < alphabet.s:
-            raise ValueError(f"component {d} out of range [0, {alphabet.s})")
-        idx = idx * alphabet.s + d
-    return idx
 
 
 def vector_of(index: int, alphabet: Alphabet) -> tuple[int, ...]:
@@ -368,6 +357,7 @@ class InSituProgram:
 
     def __post_init__(self) -> None:
         a = self.alphabet
+        _check_ints([asg.target for asg in self.assignments], "target")
         for pos, asg in enumerate(self.assignments):
             if not 1 <= asg.target <= a.n:
                 raise ValueError(f"assignment {pos}: target {asg.target} out of range [1, {a.n}]")
@@ -435,7 +425,9 @@ def execute(program: InSituProgram, vector: Sequence[int]) -> tuple[int, ...]:
     a = program.alphabet
     s = a.s
     digits = list(vector)
-    index_of(digits, a)  # validates length and range
+    if len(digits) != a.n:
+        raise ValueError(f"expected {a.n} components, got {len(digits)}")
+    _check_range(digits, s, "component")
     for asg in program.assignments:
         i = asg.target - 1
         if asg.table is not None:
@@ -535,26 +527,6 @@ def invert_program(program: InSituProgram) -> InSituProgram:
             raise NotBijective("program does not compute a bijection")
         steps.append(Assignment(asg.target, table=tuple(inv)))
     return _unchecked(InSituProgram, a, tuple(steps))
-
-
-def cycle_program(k: int, alphabet: Alphabet) -> InSituProgram:
-    """Left-rotate the first k components in k+1 linear assignments.
-
-    Computes (x_1, ..., x_k) -> (x_2, ..., x_k, x_1), other components
-    untouched, using the additive group of Z/sZ.  For k = 2 this is the
-    classic in-place swap x_1 := x_1 + x_2; x_2 := x_1 - x_2; x_1 := x_1 - x_2.
-    """
-    n = alphabet.n
-    s = alphabet.s
-    if not 2 <= k <= n:
-        raise ValueError(f"cycle length must be in [2, {n}], got {k}")
-    total = tuple(1 if j < k else 0 for j in range(n))
-    fold = tuple(1 if j == 0 else (s - 1 if j < k else 0) for j in range(n))
-    steps = [Assignment(1, coeffs=total)]
-    for target in range(k, 1, -1):
-        steps.append(Assignment(target, coeffs=fold))
-    steps.append(Assignment(1, coeffs=fold))
-    return _unchecked(InSituProgram, alphabet, tuple(steps))
 
 
 def component_permutation(sources: Sequence[int], alphabet: Alphabet) -> Mapping:

@@ -75,12 +75,6 @@ def collapse_mapping(sizes: Sequence[int], alphabet: Alphabet) -> Mapping:
     return _unchecked(Mapping, alphabet, tuple(images))
 
 
-def is_distance_compatible(mapping: Mapping) -> bool:
-    """True iff images of consecutive indices differ by at most 1."""
-    imgs = mapping.images
-    return all(abs(imgs[x + 1] - imgs[x]) <= 1 for x in range(len(imgs) - 1))
-
-
 def forward_program(mapping: Mapping) -> InSituProgram:
     """Ascending sweep (signature 1, 2, ..., n) computing a
     distance-compatible mapping.
@@ -90,10 +84,11 @@ def forward_program(mapping: Mapping) -> InSituProgram:
     required partial tables never conflict.  Entries not constrained by
     any input are filled with the identity.
     """
-    if not is_distance_compatible(mapping):
+    imgs = mapping.images
+    if any(abs(y - x) > 1 for x, y in zip(imgs, imgs[1:])):
         raise NotDistanceCompatible("images of neighbours differ by more than 1")
     a = mapping.alphabet
-    return _sweep_program(a, range(a.size), mapping.images, range(1, a.n + 1))
+    return _sweep_program(a, range(a.size), imgs, range(1, a.n + 1))
 
 
 def _sweep_program(alphabet: Alphabet, sources: Sequence[int], targets: Sequence[int],

@@ -130,6 +130,7 @@ class LinearProgram:
     factors: tuple[AssignmentMatrix, ...]
 
     def __post_init__(self) -> None:
+        _check_ints([fac.row for fac in self.factors], "row")
         for pos, fac in enumerate(self.factors):
             if len(fac.coefficients) != self.n:
                 raise DimensionMismatch("factor does not match the program's size")

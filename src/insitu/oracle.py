@@ -69,18 +69,6 @@ def _full_steps(alphabet: Alphabet) -> Iterator[tuple[tuple[int, ...], int]]:
             for tab in itertools.product(range(alphabet.s), repeat=size))
 
 
-def linear_universe(alphabet: Alphabet) -> list[Assignment]:
-    """Every linear assignment: all coefficient rows, all targets."""
-    count = alphabet.n * alphabet.size
-    if count > _FULL_UNIVERSE_CAP:
-        raise BudgetExceeded(f"{count} assignments; use a smaller space")
-    out = []
-    for target in range(1, alphabet.n + 1):
-        for row in itertools.product(range(alphabet.s), repeat=alphabet.n):
-            out.append(Assignment(target, coeffs=row))
-    return out
-
-
 def min_length_bfs(
     e: Mapping,
     max_len: int,

@@ -162,6 +162,22 @@ MUTANTS = [
      "            pass",
      ["tests/test_linmod.py::test_linear_input_types_are_checked_at_entry[entry-float]",
       "tests/test_linmod.py::test_linear_input_types_are_checked_at_entry[entry-str]"]),
+    ("Alphabet skips its type check",
+     "src/insitu/core.py",
+     '        _check_ints((self.s, self.n), "alphabet size or arity")',
+     "        pass",
+     ["tests/test_core.py::test_alphabet_validation"]),
+    ("InSituProgram skips its target type check",
+     "src/insitu/core.py",
+     '        _check_ints([asg.target for asg in self.assignments], "target")',
+     "        pass",
+     ["tests/test_core.py::test_program_validation"]),
+    ("LinearProgram skips its row type check",
+     "src/insitu/linmod.py",
+     '        _check_ints([fac.row for fac in self.factors], "row")',
+     "        pass",
+     ["tests/test_linmod.py::test_linear_input_types_are_checked_at_entry[row-float]",
+      "tests/test_linmod.py::test_linear_input_types_are_checked_at_entry[row-str]"]),
     ("LinearProgram skips its coefficient check",
      "src/insitu/linmod.py",
      '            _check_values(fac.coefficients, self.ring.s, pos, "coefficient")',

@@ -13,7 +13,6 @@ from insitu.blockseq import (
     NotSuffixCompatible,
     compile_general4_flexible,
     compose_forward_program,
-    is_block_sequence,
     is_suffix_compatible,
     make_block_sequence,
     permute_block_tree,
@@ -24,20 +23,19 @@ from insitu.rng import SplitMix64, random_mapping
 
 
 def test_is_block_sequence():
-    assert is_block_sequence([1, 3, 2, 2])
-    assert not is_block_sequence([2, 1, 3, 2])
-    assert is_block_sequence([1, 1])
-    assert is_block_sequence([0, 2])
-    assert not is_block_sequence([1, 2])
-    assert is_block_sequence([4])
+    # every aligned block of 2^i entries sums to a multiple of 2^i
+    for values in ((1, 3, 2, 2), (1, 1), (0, 2), (4,)):
+        assert BlockSequence(values).values == values
+    for values in ((2, 1, 3, 2), (1, 2)):
+        with pytest.raises(ValueError, match="^not a block sequence$"):
+            BlockSequence(values)
     with pytest.raises(BadLength):
-        is_block_sequence([1, 1, 2])
+        BlockSequence((1, 1, 2))
 
 
 def test_block_sequence_tree():
     b = BlockSequence((1, 3, 2, 2))
     assert b.n == 2
-    assert b.tree() == ((1, 3, 2, 2), (2, 2), (2,))
     with pytest.raises(ValueError):
         BlockSequence((2, 1, 3, 2))
     with pytest.raises(ValueError):
@@ -73,7 +71,7 @@ def test_make_block_sequence_properties(n, data):
     assert sorted(bseq.values) == sorted(values)
     assert sorted(origins) == list(range(count))
     assert tuple(values[o] for o in origins) == bseq.values
-    assert is_block_sequence(bseq.values)
+    BlockSequence(bseq.values)  # a block sequence: the constructor checks it
 
 
 def test_tree_choice_count():
@@ -96,7 +94,7 @@ def test_permute_block_tree_all_choices():
     seen = set()
     for bits in itertools.product([False, True], repeat=3):
         out = permute_block_tree(b, bits)
-        assert is_block_sequence(out.values)
+        BlockSequence(out.values)  # a block sequence: the constructor checks it
         assert sorted(out.values) == [1, 2, 2, 3]
         seen.add(out.values)
     assert (1, 3, 2, 2) in seen

@@ -16,10 +16,8 @@ from insitu import (
     SignatureNotGroupable,
     component_permutation,
     concat,
-    cycle_program,
     execute,
     execute_all,
-    index_of,
     invert_program,
     merge_adjacent,
     permutation_length_bound,
@@ -58,6 +56,27 @@ from insitu.oracle import exhaustive_suite, method_signature
 from insitu.rng import SplitMix64, random_bijection, random_mapping
 
 
+def index_of(vector, alphabet):
+    # the index of a vector, component 1 the least significant digit
+    return sum(d * pw for d, pw in zip(vector, alphabet.powers()))
+
+
+def cycle_program(k, alphabet):
+    """Left-rotate the first k components in k+1 linear assignments.
+
+    Computes (x_1, ..., x_k) -> (x_2, ..., x_k, x_1), other components
+    untouched, using the additive group of Z/sZ.  For k = 2 this is the
+    classic in-place swap x_1 := x_1 + x_2; x_2 := x_1 - x_2; x_1 := x_1 - x_2.
+    """
+    n, s = alphabet.n, alphabet.s
+    total = tuple(1 if j < k else 0 for j in range(n))
+    fold = tuple(1 if j == 0 else (s - 1 if j < k else 0) for j in range(n))
+    steps = [Assignment(1, coeffs=total)]
+    steps += [Assignment(target, coeffs=fold) for target in range(k, 1, -1)]
+    steps.append(Assignment(1, coeffs=fold))
+    return InSituProgram(alphabet, tuple(steps))
+
+
 def test_alphabet_validation():
     with pytest.raises(ValueError):
         Alphabet(1, 3)
@@ -67,6 +86,14 @@ def test_alphabet_validation():
         Alphabet(2, 65)
     assert Alphabet(2, 64).size == 1 << 64
     assert Alphabet(3, 4).powers() == (1, 3, 9, 27)
+    # the size and arity are integers, refused before s ** n is built
+    for s, n, bad in ((2.0, 3, 2.0), (2, 3.0, 3.0), (Fraction(3), 2, Fraction(3)),
+                      ("2", 3, "2"), (2, None, None)):
+        with pytest.raises(ValueError) as err:
+            Alphabet(s, n)
+        assert str(err.value) == f"alphabet size or arity {bad!r} is not an integer"
+    # a bool is an int, as ModRing.of takes it
+    assert Alphabet(2, True).size == 2
 
 
 def test_index_examples():
@@ -76,9 +103,15 @@ def test_index_examples():
     assert vector_of(0, Alphabet(3, 2)) == (0, 0)
     assert vector_of(7, Alphabet(3, 2)) == (1, 2)
     with pytest.raises(ValueError):
-        index_of((2, 0), Alphabet(2, 2))
-    with pytest.raises(ValueError):
         vector_of(9, Alphabet(3, 2))
+    # execute reads a vector's digits, so it checks their count and range
+    empty = InSituProgram(Alphabet(2, 2), ())
+    with pytest.raises(ValueError, match=r"^component 2 out of range \[0, 2\)$"):
+        execute(empty, (2, 0))
+    with pytest.raises(ValueError, match=r"^component -1 out of range \[0, 2\)$"):
+        execute(empty, (1, -1))
+    with pytest.raises(ValueError, match=r"^expected 2 components, got 3$"):
+        execute(empty, (0, 1, 0))
 
 
 @given(st.integers(2, 7), st.integers(1, 5), st.data())
@@ -175,6 +208,17 @@ def test_program_validation():
         InSituProgram(a, (Assignment(1),))
     with pytest.raises(ValueError):
         InSituProgram(a, (Assignment(1, table=(0,) * 4, coeffs=(0, 0)),))
+    # a target that compares equal to a component is still refused, before
+    # any comparison, so no float reaches the trace or the writer
+    ok = Assignment(2, table=(0, 1, 1, 0))
+    for bad in (1.0, Fraction(1), Decimal(1), "1", None):
+        with pytest.raises(ValueError) as err:
+            InSituProgram(a, (ok, Assignment(bad, table=(1, 0, 1, 0))))
+        assert str(err.value) == f"target {bad!r} is not an integer"
+    with pytest.raises(ValueError, match=r"^target 2\.0 is not an integer$"):
+        InSituProgram(a, (Assignment(2.0, coeffs=(1, 1)),))
+    # a bool is an int
+    assert InSituProgram(a, (Assignment(True, table=(1, 0, 1, 0)),)).signature == (1,)
 
 
 def test_program_rejects_non_integer_table_values():
@@ -277,7 +321,6 @@ def test_tables_are_checked_only_where_programs_enter(monkeypatch):
     assert checks(merge_adjacent, twice) == 0
     assert checks(regroup, routed, 2) == 0
     assert checks(invert_program, routed) == 0
-    assert checks(cycle_program, 3, ternary) == 0
     assert checks(routing_of, linear) == 0
     assert checks(decompose, MatrixMod.of(ModRing.of(12), [[4, 5], [6, 4]])) == 0
     assert checks(invert_linear_program, lin) == 0

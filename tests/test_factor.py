@@ -14,7 +14,6 @@ from insitu.factor import (
     compile_general5,
     factor_by_classes,
     forward_program,
-    is_distance_compatible,
     preimage_classes,
 )
 from insitu.rng import SplitMix64, random_mapping
@@ -42,7 +41,8 @@ def test_collapse_mapping():
     a = Alphabet(2, 3)
     m = collapse_mapping([2, 1, 3, 2], a)
     assert m.images == (0, 0, 1, 2, 2, 2, 3, 3)
-    assert is_distance_compatible(m)
+    # a collapse is distance compatible, so the ascending sweep takes it
+    assert execute_all(forward_program(m)).images == m.images
     with pytest.raises(SizesDoNotSum):
         collapse_mapping([4, 4, 1], a)
     with pytest.raises(SizesDoNotSum):
@@ -62,11 +62,14 @@ def test_collapse_mapping_takes_an_iterator():
 
 
 def test_distance_compatibility():
+    # forward_program takes a mapping exactly when the images of
+    # consecutive indices differ by at most 1
     a = Alphabet(2, 2)
-    assert is_distance_compatible(Mapping(a, (0, 1, 2, 3)))
-    assert is_distance_compatible(Mapping(a, (1, 1, 0, 0)))
-    assert not is_distance_compatible(Mapping(a, (0, 2, 2, 3)))
-    assert not is_distance_compatible(Mapping(a, (3, 2, 0, 1)))
+    for images in ((0, 1, 2, 3), (1, 1, 0, 0)):
+        assert execute_all(forward_program(Mapping(a, images))).images == images
+    for images in ((0, 2, 2, 3), (3, 2, 0, 1)):
+        with pytest.raises(NotDistanceCompatible):
+            forward_program(Mapping(a, images))
 
 
 def test_forward_program_worked_example():

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from insitu import Alphabet, execute, execute_all, index_of, vector_of
+from insitu import Alphabet, execute, execute_all, vector_of
 from insitu.linmod import (
     AssignmentMatrix,
     DimensionMismatch,
@@ -371,7 +371,11 @@ def test_linear_program_checks_coefficients():
     (lambda: ModRing.of("5"), "modulus '5' is not an integer"),
     (lambda: MatrixMod.of(ModRing.of(5), [[0.5, 1], [0, 1]]), "matrix entry 0.5 is not an integer"),
     (lambda: MatrixMod.of(ModRing.of(5), [["1", 1], [0, 1]]), "matrix entry '1' is not an integer"),
-], ids=["modulus-float", "modulus-str", "entry-float", "entry-str"])
+    (lambda: LinearProgram(ModRing.of(5), 2, (AssignmentMatrix(1.0, (1, 2)),)),
+     "row 1.0 is not an integer"),
+    (lambda: LinearProgram(ModRing.of(5), 2, (AssignmentMatrix(2, (0, 1)), AssignmentMatrix("1", (1, 2)))),
+     "row '1' is not an integer"),
+], ids=["modulus-float", "modulus-str", "entry-float", "entry-str", "row-float", "row-str"])
 def test_linear_input_types_are_checked_at_entry(build, message):
     # refused before any % runs on the value, so no TypeError escapes
     with pytest.raises(ValueError) as exc:
@@ -399,5 +403,6 @@ def test_linear_mapping_matches_matrix_action(s, n):
     m = random_matrix(s, n, SplitMix64(s * 100 + n))
     a = Alphabet(s, n)
     images = linear_mapping(m).images
+    powers = a.powers()
     for x in range(a.size):
-        assert images[x] == index_of(m.apply(vector_of(x, a)), a)
+        assert images[x] == sum(d * pw for d, pw in zip(m.apply(vector_of(x, a)), powers))

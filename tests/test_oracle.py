@@ -21,18 +21,17 @@ from insitu.oracle import (
     SuiteReport,
     exhaustive_suite,
     full_universe,
-    linear_universe,
     method_signature,
     min_length_bfs,
 )
 from insitu.rng import SplitMix64, random_bijection, random_mapping, random_matrix
-from test_oracle_reference import _reference_bfs
+from test_oracle_reference import _linear_universe, _reference_bfs
 
 
 def test_universe_sizes():
     a = Alphabet(2, 2)
     assert len(full_universe(a)) == 2 * 2 ** 4
-    assert len(linear_universe(a)) == 2 * 4
+    assert len(_linear_universe(a)) == 2 * 4
     with pytest.raises(BudgetExceeded):
         full_universe(Alphabet(2, 4))
 
@@ -98,7 +97,7 @@ def test_three_cycle_over_linear_universe():
     # rotating three boolean components linearly takes exactly 4 steps
     a = Alphabet(2, 3)
     e = component_permutation((2, 3, 1), a)
-    uni = linear_universe(a)
+    uni = _linear_universe(a)
     assert min_length_bfs(e, 3, universe=uni) is None
     assert min_length_bfs(e, 4, universe=uni) == 4
 
@@ -123,7 +122,7 @@ def test_unreachable_returns_none():
     # a non-linear mapping is outside the closure of linear assignments
     a = Alphabet(2, 2)
     e = Mapping(a, (0, 1, 2, 0))
-    assert min_length_bfs(e, 4, universe=linear_universe(a)) is None
+    assert min_length_bfs(e, 4, universe=_linear_universe(a)) is None
 
 
 def test_default_universe_matches_the_reference():

@@ -15,10 +15,16 @@ import numpy as np
 import pytest
 
 import census
-from insitu.core import Alphabet, Mapping, assignment_table, component_permutation, step_images
+from insitu.core import Alphabet, Assignment, Mapping, assignment_table, component_permutation, step_images
 from insitu.linmod import MatrixMod, ModRing, linear_mapping
-from insitu.oracle import BudgetExceeded, full_universe, linear_universe, min_length_bfs
+from insitu.oracle import BudgetExceeded, full_universe, min_length_bfs
 from insitu.rng import SplitMix64, random_bijection, random_mapping
+
+
+def _linear_universe(a):
+    # every linear assignment: all coefficient rows, all targets
+    return [Assignment(target, coeffs=row) for target in range(1, a.n + 1)
+            for row in itertools.product(range(a.s), repeat=a.n)]
 
 
 def _reference_bfs(e, max_len, universe=None, max_states=1_000_000):
@@ -73,7 +79,7 @@ def test_all_boolean_mappings_at_n2_full_universe():
 
 
 def test_all_boolean_mappings_at_n2_linear_universe():
-    verdicts = _assert_same_verdicts(_all_mappings(Alphabet(2, 2)), 6, linear_universe)
+    verdicts = _assert_same_verdicts(_all_mappings(Alphabet(2, 2)), 6, _linear_universe)
     # the linear maps are 16 of the 256 mappings; the others are unreachable
     assert len(verdicts) - verdicts.count(None) == 16
 
@@ -89,7 +95,7 @@ def test_seeded_mappings_over_linear_universe():
         inputs += [linear_mapping(MatrixMod.of(ring, [[rng.below(s) for _ in range(n)]
                                                        for _ in range(n)]))
                    for _ in range(10)]
-    verdicts = _assert_same_verdicts(inputs, 5, linear_universe)
+    verdicts = _assert_same_verdicts(inputs, 5, _linear_universe)
     assert len(set(verdicts)) >= 4
 
 
