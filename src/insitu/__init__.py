@@ -12,7 +12,6 @@ signature, brute-force minimal lengths and whole-universe suites.
 from .core import (
     Alphabet,
     Assignment,
-    BadSignature,
     InSituError,
     InSituProgram,
     Mapping,
@@ -34,8 +33,6 @@ from .benes import NotRegular, SuffixGraph, edge_color, route_bijection, route_b
 from .factor import (
     ClassFactorisation,
     InvalidOrdering,
-    NotDistanceCompatible,
-    NotOrderPreserving,
     SizesDoNotSum,
     backward_restricted_program,
     collapse_mapping,
@@ -50,7 +47,6 @@ from .blockseq import (
     BadLength,
     BadSum,
     BlockSequence,
-    NotSuffixCompatible,
     compile_general4_flexible,
     compose_forward_program,
     is_suffix_compatible,

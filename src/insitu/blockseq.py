@@ -3,11 +3,12 @@
 A sequence of 2^n non-negative integers is a block sequence when every
 aligned block of 2^i entries has a sum divisible by 2^i.  Run sizes
 arranged into a block sequence make the collapse step suffix compatible:
-inputs with equal suffixes get images with equal suffixes.  A suffix
-compatible collapse can then be composed with the first half of the
-final bijection's routing and computed by one ascending sweep, which
-shortens the 5n - 4 compiler to 4n - 3 while keeping the freedom to
-permute children anywhere in the pairing tree.
+inputs with equal suffixes get images with equal suffixes.  The paper
+shows that a suffix compatible collapse composed with the first half of
+the final bijection's routing is routed by the 1..n butterfly, so one
+ascending sweep computes it; that shortens the 5n - 4 compiler to 4n - 3
+while keeping the freedom to permute children anywhere in the pairing
+tree.  The sweep itself decides what it routes (see `factor`).
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from typing import Sequence
 
 from . import benes
 from .core import (
-    BadSignature,
     InSituError,
     InSituProgram,
     Mapping,
@@ -42,10 +42,6 @@ class BadSum(InSituError):
 
 class BadChoice(InSituError):
     """A tree permutation needs one boolean choice per internal node."""
-
-
-class NotSuffixCompatible(InSituError):
-    """Equal input suffixes must give equal image suffixes."""
 
 
 def _log2_exact(count: int) -> int:
@@ -162,19 +158,16 @@ def is_suffix_compatible(mapping: Mapping) -> bool:
 
 
 def compose_forward_program(mapping: Mapping, head: InSituProgram) -> InSituProgram:
-    """One ascending sweep computing head o mapping.
+    """One ascending sweep computing head o mapping, which it does for
+    exactly the compositions the 1..n butterfly routes; any other raises
+    `InSituError`.
 
-    `mapping` must be suffix compatible and `head` a program with
-    signature exactly 1, 2, ..., n (the first half of a routing).  The
-    composition is again computable by a single ascending sweep.
+    A suffix compatible `mapping` under a `head` with signature 1, 2,
+    ..., n (the first half of a routing) always routes.
     """
     a = mapping.alphabet
     if head.alphabet != a:
         raise ValueError("alphabet mismatch")
-    if head.signature != tuple(range(1, a.n + 1)):
-        raise BadSignature("head must assign components 1, 2, ..., n in order")
-    if not is_suffix_compatible(mapping):
-        raise NotSuffixCompatible("equal suffixes must map to equal suffixes")
     target = execute_all(head)
     composed = itemgetter(*mapping.images)(target.images)  # a tuple, since size >= 2
     return _sweep_program(a, range(a.size), composed, range(1, a.n + 1))

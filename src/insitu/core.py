@@ -84,10 +84,6 @@ class NotBijective(InSituError):
     """The mapping (or the mapping a program computes) is not a bijection."""
 
 
-class BadSignature(InSituError):
-    """A signature does not have the shape the operation requires."""
-
-
 class SignatureNotGroupable(InSituError):
     """The signature cannot be split into runs that each stay in one register."""
 
@@ -427,6 +423,7 @@ def execute(program: InSituProgram, vector: Sequence[int]) -> tuple[int, ...]:
     digits = list(vector)
     if len(digits) != a.n:
         raise ValueError(f"expected {a.n} components, got {len(digits)}")
+    _check_ints(digits, "component")
     _check_range(digits, s, "component")
     for asg in program.assignments:
         i = asg.target - 1

@@ -4,14 +4,18 @@ Every mapping e factors as post o collapse o pre, where `pre` is a
 bijection packing each preimage class of e into a run of consecutive
 indices, `collapse` sends the t-th run onto the single index t, and
 `post` is a bijection placing the collapsed points on the actual images.
-The outer bijections compile to 2n - 1 steps each; `collapse` never
-moves an index by more than one per input step, which lets a single
-ascending sweep of assignments (signature 1, 2, ..., n) compute it.
-When the collapsed points are strictly increasing on a range, a single
-descending sweep places them: range inputs that agree on components
-1..j are at least s^j apart, and so are their increasing images, which
-therefore differ above component j: no stage is asked two digits at one
-entry.
+The outer bijections compile to 2n - 1 steps each; the collapse is one
+ascending sweep (signature 1, 2, ..., n), and a placement may be one
+descending sweep (n, ..., 2, 1).
+
+A sweep's network is a butterfly, with one path from each input to each
+output, so a sweep writing each point's target digit stage by stage
+routes exactly when no two points at one entry ask for different digits;
+it raises on the first such conflict.  The paper's conditions are why
+the compilers never meet one: a collapse never moves an index by more
+than one per input step, and on a range of strictly increasing images,
+inputs that agree on components 1..j are at least s^j apart, as are
+their images, which therefore differ above component j.
 
 Compilers built on this factorization:
   compile_general5        length <= 5n - 4, signature 1..n..1..n..1..n
@@ -36,14 +40,6 @@ from .core import (
     merge_adjacent,
     step_images,
 )
-
-
-class NotDistanceCompatible(InSituError):
-    """Consecutive inputs must have images at index distance at most 1."""
-
-
-class NotOrderPreserving(InSituError):
-    """The restricted mapping must be strictly increasing."""
 
 
 class InvalidOrdering(InSituError):
@@ -76,19 +72,17 @@ def collapse_mapping(sizes: Sequence[int], alphabet: Alphabet) -> Mapping:
 
 
 def forward_program(mapping: Mapping) -> InSituProgram:
-    """Ascending sweep (signature 1, 2, ..., n) computing a
-    distance-compatible mapping.
+    """Ascending sweep (signature 1, 2, ..., n) computing `mapping`, which
+    it does for exactly the mappings the 1..n butterfly routes; any other
+    raises `InSituError`.
 
     Component i is assigned its final value while the later components
-    still hold their input values; distance compatibility guarantees the
-    required partial tables never conflict.  Entries not constrained by
-    any input are filled with the identity.
+    still hold their input values.  A distance-compatible mapping, such
+    as a collapse, never conflicts.  Entries not constrained by any
+    input are filled with the identity.
     """
-    imgs = mapping.images
-    if any(abs(y - x) > 1 for x, y in zip(imgs, imgs[1:])):
-        raise NotDistanceCompatible("images of neighbours differ by more than 1")
     a = mapping.alphabet
-    return _sweep_program(a, range(a.size), imgs, range(1, a.n + 1))
+    return _sweep_program(a, range(a.size), mapping.images, range(1, a.n + 1))
 
 
 def _sweep_program(alphabet: Alphabet, sources: Sequence[int], targets: Sequence[int],
@@ -98,7 +92,7 @@ def _sweep_program(alphabet: Alphabet, sources: Sequence[int], targets: Sequence
     stands; a point stands at its target's digits on the components
     written so far and at its source's digits on the rest.  Entries no
     point reaches keep the identity; two different digits asked of one
-    entry raise."""
+    entry raise an `InSituError` that names them."""
     s = alphabet.s
     size = alphabet.size
     positions = sources
@@ -120,7 +114,7 @@ def _sweep_program(alphabet: Alphabet, sources: Sequence[int], targets: Sequence
             d = y // pw % s
             if reached[p]:
                 if tab[p] != d:
-                    raise InSituError("conflicting table entries; precondition violated")
+                    raise InSituError(f"component {j} at index {p} must become both {tab[p]} and {d}")
             else:
                 reached[p] = 1
                 tab[p] = d
@@ -130,23 +124,19 @@ def _sweep_program(alphabet: Alphabet, sources: Sequence[int], targets: Sequence
 
 def backward_restricted_program(mapping: Mapping, lo: int, hi: int) -> InSituProgram:
     """Descending sweep (signature n, ..., 2, 1) computing `mapping` on the
-    index range [lo, hi], on which it must be strictly increasing.
+    index range [lo, hi], which it does for exactly the ranges the n..1
+    butterfly routes; any other raises `InSituError`.
 
-    Two inputs of the range that agree on components 1..j are at least
-    s^j apart, and so are their images, which therefore differ on some
-    component above j: no two points of the sweep ever share an entry.
-    Outside the range the program's behavior is unspecified (tables are
-    completed with the identity).
+    On a strictly increasing range no two points of the sweep ever share
+    an entry (see the module docstring).  Outside the range the
+    program's behavior is unspecified (tables are completed with the
+    identity).
     """
     a = mapping.alphabet
     size = a.size
     if not 0 <= lo <= hi < size:
         raise ValueError(f"bad range [{lo}, {hi}] for index space of size {size}")
-    ms = mapping.images[lo:hi + 1]
-    for prev, cur in zip(ms, ms[1:]):
-        if cur <= prev:
-            raise NotOrderPreserving("images must be strictly increasing on the range")
-    return _sweep_program(a, range(lo, hi + 1), ms, range(a.n, 0, -1))
+    return _sweep_program(a, range(lo, hi + 1), mapping.images[lo:hi + 1], range(a.n, 0, -1))
 
 
 @dataclass(frozen=True)

@@ -130,6 +130,9 @@ class LinearProgram:
     factors: tuple[AssignmentMatrix, ...]
 
     def __post_init__(self) -> None:
+        _check_ints((self.n,), "size")
+        if self.n < 1:
+            raise ValueError(f"size must be at least 1, got {self.n}")
         _check_ints([fac.row for fac in self.factors], "row")
         for pos, fac in enumerate(self.factors):
             if len(fac.coefficients) != self.n:

@@ -44,17 +44,20 @@ def bfs(size, start, successors, max_depth=127):
     return dist
 
 
-def mapping_bfs(s, n, steps=None, max_depth=127):
-    """Exact lengths of the mappings of s^n, coded base s^n by their images,
-    over `steps`, (component, table) pairs: every table on every component
-    by default.  Step (i, tab) sends image v to v + (tab[v] - digit_i(v)) *
-    s^(i-1), so it adds to a code what it adds to each half of the images
-    alone, looked up in a table over the codes of a half.  The distance
-    array has (s^n)^(s^n) bytes, so 2^3 is the largest space it takes."""
+def _table_steps(s, n, components):
+    """Every table on each of `components`, as (component, table) pairs."""
+    size = s ** n
+    return [(i, tab) for i in components for tab in digits(range(s ** size), s, size)]
+
+
+def _mapping_successors(s, n, steps):
+    """successors(codes)[m, c]: the code step m makes of codes[c], for the
+    mappings of s^n coded base s^n by their images.  Step (i, tab) sends
+    image v to v + (tab[v] - digit_i(v)) * s^(i-1), so it adds to a code
+    what it adds to each half of the images alone, looked up in a table
+    over the codes of a half."""
     size = s ** n
     index = np.arange(size)
-    if steps is None:
-        steps = [(i, tab) for i in range(1, n + 1) for tab in digits(range(s ** size), s, size)]
     moves = np.array([(np.asarray(tab) - index // s ** (i - 1) % s) * s ** (i - 1)
                       for i, tab in steps])
 
@@ -64,8 +67,39 @@ def mapping_bfs(s, n, steps=None, max_depth=127):
 
     half = size ** (size // 2)
     low, high = part(size // 2), part(size - size // 2) * half
-    return bfs(size ** size, int(index @ size ** index),
-               lambda codes: codes + low[:, codes % half] + high[:, codes // half], max_depth)
+    return lambda codes: codes + low[:, codes % half] + high[:, codes // half]
+
+
+def _identity_code(size):
+    index = np.arange(size)
+    return int(index @ size ** index)
+
+
+def mapping_bfs(s, n, steps=None, max_depth=127):
+    """Exact lengths of the mappings of s^n, coded base s^n by their images,
+    over `steps`, (component, table) pairs: every table on every component
+    by default.  The distance array has (s^n)^(s^n) bytes, so 2^3 is the
+    largest space it takes."""
+    size = s ** n
+    if steps is None:
+        steps = _table_steps(s, n, range(1, n + 1))
+    return bfs(size ** size, _identity_code(size), _mapping_successors(s, n, steps), max_depth)
+
+
+def signature_reach(s, n, signature):
+    """reached[code]: whether some program with exactly this signature
+    computes the mapping of s^n coded `code`.  Layer k applies every table
+    on component signature[k] to every mapping reached so far; the
+    identity table is one of them, so each layer keeps the one before."""
+    size = s ** n
+    reached = np.zeros(size ** size, bool)
+    reached[_identity_code(size)] = True
+    for i in signature:
+        successors = _mapping_successors(s, n, _table_steps(s, n, (i,)))
+        codes = np.flatnonzero(reached)
+        for lo in range(0, codes.size, _CHUNK):
+            reached[successors(codes[lo:lo + _CHUNK])] = True
+    return reached
 
 
 @functools.cache

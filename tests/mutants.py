@@ -188,6 +188,24 @@ MUTANTS = [
      "    return _unchecked(LinearProgram, ring, n, tuple(uphill)",
      "    return LinearProgram(ring, n, tuple(uphill)",
      ["tests/test_core.py::test_tables_are_checked_only_where_programs_enter"]),
+    ("LinearProgram takes a non-integer n",
+     "src/insitu/linmod.py",
+     '        _check_ints((self.n,), "size")',
+     "        pass",
+     ["tests/test_linmod.py::test_linear_input_types_are_checked_at_entry[size-float]",
+      "tests/test_linmod.py::test_linear_input_types_are_checked_at_entry[size-str]"]),
+    ("execute skips its component type check",
+     "src/insitu/core.py",
+     '    _check_ints(digits, "component")',
+     "    pass",
+     ["tests/test_core.py::test_index_examples"]),
+    # a sweep's conflict check is its only guard: the exact reach of its
+    # butterfly, from tests/census.py, is the referee
+    ("the sweep ignores a conflicting entry",
+     "src/insitu/factor.py",
+     "                if tab[p] != d:",
+     "                if False:",
+     ["tests/test_sweep_census.py::test_each_sweep_routes_exactly_its_reach_at_2_2"]),
     # the command line traces a linear program up to rng.DRAW_CAP indices
     # and checks only its factor product past it
     ("the linear trace stops at the old 4096-index --dot cap",

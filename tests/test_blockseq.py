@@ -3,14 +3,13 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
-from insitu import Alphabet, Assignment, BadSignature, InSituProgram, Mapping, NotBoolean, execute_all
+from insitu import Alphabet, Assignment, InSituError, InSituProgram, Mapping, NotBoolean, execute_all
 from insitu.benes import route_bijection
 from insitu.blockseq import (
     BadChoice,
     BadLength,
     BadSum,
     BlockSequence,
-    NotSuffixCompatible,
     compile_general4_flexible,
     compose_forward_program,
     is_suffix_compatible,
@@ -151,17 +150,23 @@ def test_compose_forward_program_worked_example():
 
 
 def test_compose_forward_program_validation():
+    # the sweep decides what it routes: a head of any signature and a
+    # mapping that is not suffix compatible compose whenever the 1..n
+    # butterfly routes the composition, and a conflict raises
     a = Alphabet(2, 2)
     collapse = collapse_mapping([1, 1, 2, 0], a)
     head = InSituProgram(a, forward_program(Mapping.identity(a)).assignments)
-    bad_head = InSituProgram(a, tuple(reversed(head.assignments)))
-    with pytest.raises(BadSignature):
-        compose_forward_program(collapse, bad_head)
-    skewed = collapse_mapping([2, 1, 3, 2], Alphabet(2, 3))
-    head3 = InSituProgram(Alphabet(2, 3), forward_program(Mapping.identity(Alphabet(2, 3))).assignments)
-    with pytest.raises(NotSuffixCompatible):
-        compose_forward_program(skewed, head3)
-    with pytest.raises(ValueError):
+    reversed_head = InSituProgram(a, tuple(reversed(head.assignments)))
+    for h in (head, reversed_head, InSituProgram(a, ())):
+        assert execute_all(compose_forward_program(collapse, h)) == collapse
+    a3 = Alphabet(2, 3)
+    skewed = collapse_mapping([2, 1, 3, 2], a3)
+    assert not is_suffix_compatible(skewed)
+    head3 = InSituProgram(a3, forward_program(Mapping.identity(a3)).assignments)
+    assert execute_all(compose_forward_program(skewed, head3)) == skewed
+    with pytest.raises(InSituError, match="^component 2 at index 0 must become both 0 and 1$"):
+        compose_forward_program(Mapping(a, (0, 2, 2, 3)), head)
+    with pytest.raises(ValueError, match="^alphabet mismatch$"):
         compose_forward_program(collapse, head3)
 
 

@@ -9,7 +9,7 @@ import time
 import pytest
 
 import insitu
-from insitu import Alphabet, Mapping, execute_all
+from insitu import Alphabet, InSituProgram, Mapping, execute_all
 from insitu import linmod, oracle
 from insitu.cli import EXIT_DOMAIN, EXIT_INTERNAL, EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, main
 from insitu.formats import format_mapping, format_matrix, parse_mapping, parse_program
@@ -120,6 +120,22 @@ def test_verify_detects_mismatch(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines() == ["mismatch_index=0 expected=0 got=1"]
 
 
+def test_compile_verify_detects_mismatch(tmp_path, capsys, monkeypatch):
+    # compilers that return the identity: --verify names the first wrong
+    # index and writes no program
+    src = write(tmp_path / "in.map", "2 2\n1 0 2 3\n")
+    matrix = write(tmp_path / "m.mat", "12 2\n4 5\n6 4\n")
+    monkeypatch.setitem(oracle.COMPILERS, "benes", lambda e: InSituProgram(e.alphabet, ()))
+    monkeypatch.setattr(linmod, "coefficient_program",
+                        lambda p: InSituProgram(Alphabet(p.ring.s, p.n), ()))
+    for argv, report in (([src, "--method", "benes"], "mismatch_index=0 expected=1 got=0\n"),
+                         ([matrix, "--method", "linear"], "mismatch_index=1 expected=76 got=1\n")):
+        out = tmp_path / "p.out"
+        assert main(["compile", *argv, "--verify", "-o", str(out)]) == EXIT_MISMATCH
+        assert capsys.readouterr().out == report
+        assert not out.exists()
+
+
 def test_verify_rejects_negative_counts(tmp_path, capsys):
     ident = write(tmp_path / "id.map", "2 2\n0 1 2 3\n")
     prog = write(tmp_path / "neg.prog", "program 2 2 -3\n")
@@ -221,6 +237,10 @@ def test_regroup_command(tmp_path, capsys):
     assert p.signature == (1, 2, 1)
     assert execute_all(p).images == tuple((x + 3) % 16 for x in range(16))
     assert main(["regroup", str(prog), "--group-size", "3"]) == EXIT_DOMAIN
+    capsys.readouterr()
+    lin = write(tmp_path / "p.lin", "linear 5 2 1\n1 1 1\n")
+    assert main(["regroup", lin, "--group-size", "2"]) == EXIT_DOMAIN
+    assert capsys.readouterr().err == "error: InSituError: regroup works on table programs\n"
 
 
 def test_suite_command(tmp_path, capsys):

@@ -112,6 +112,10 @@ def test_index_examples():
         execute(empty, (1, -1))
     with pytest.raises(ValueError, match=r"^expected 2 components, got 3$"):
         execute(empty, (0, 1, 0))
+    # and their type, before a digit enters a sum or indexes a table
+    for step in (Assignment(1, coeffs=(1, 1)), Assignment(1, table=(0, 1, 1, 0))):
+        with pytest.raises(ValueError, match=r"^component 1\.0 is not an integer$"):
+            execute(InSituProgram(Alphabet(2, 2), (step,)), (1.0, 0))
 
 
 @given(st.integers(2, 7), st.integers(1, 5), st.data())
@@ -161,6 +165,9 @@ def test_component_permutation_takes_an_iterator():
         for perm in itertools.permutations(range(1, n + 1)):
             assert component_permutation(iter(perm), a) == component_permutation(perm, a)
     assert component_permutation(iter([2, 1]), Alphabet(2, 2)).images == (0, 2, 1, 3)
+    for sources in ((1, 1), (1,), (0, 1), (1, 2, 3)):
+        with pytest.raises(ValueError, match="^sources must be a permutation of 1..n$"):
+            component_permutation(sources, Alphabet(2, 2))
 
 
 def test_permutation_length_bound():
@@ -208,6 +215,8 @@ def test_program_validation():
         InSituProgram(a, (Assignment(1),))
     with pytest.raises(ValueError):
         InSituProgram(a, (Assignment(1, table=(0,) * 4, coeffs=(0, 0)),))
+    with pytest.raises(ValueError, match="^assignment 0: coefficient row needs 2 entries$"):
+        InSituProgram(a, (Assignment(1, coeffs=(1, 0, 0)),))
     # a target that compares equal to a component is still refused, before
     # any comparison, so no float reaches the trace or the writer
     ok = Assignment(2, table=(0, 1, 1, 0))
@@ -422,6 +431,8 @@ def test_reverse_boolean_bijection():
     const = InSituProgram(a, (Assignment(1, table=(0,) * 8),))
     with pytest.raises(NotBijective):
         invert_program(const)
+    with pytest.raises(NotBijective):
+        execute_all(const).inverse()
 
 
 def _check_inverse(p, e):
@@ -526,6 +537,10 @@ def test_regroup_rejections():
 def test_concat_alphabet_mismatch():
     with pytest.raises(ValueError):
         concat(InSituProgram(Alphabet(2, 2), ()), InSituProgram(Alphabet(2, 3), ()))
+    with pytest.raises(ValueError, match="^need at least one program$"):
+        concat()
+    with pytest.raises(ValueError, match="^alphabet mismatch in composition$"):
+        Mapping.identity(Alphabet(2, 2)).compose(Mapping.identity(Alphabet(4, 1)))
 
 
 @st.composite

@@ -2,11 +2,9 @@ import itertools
 
 import pytest
 
-from insitu import Alphabet, InSituProgram, Mapping, execute_all
+from insitu import Alphabet, InSituError, InSituProgram, Mapping, execute_all
 from insitu.factor import (
     InvalidOrdering,
-    NotDistanceCompatible,
-    NotOrderPreserving,
     SizesDoNotSum,
     backward_restricted_program,
     collapse_mapping,
@@ -47,6 +45,8 @@ def test_collapse_mapping():
         collapse_mapping([4, 4, 1], a)
     with pytest.raises(SizesDoNotSum):
         collapse_mapping([9, -1], a)
+    with pytest.raises(ValueError, match="^run 8 is outside the index space$"):
+        collapse_mapping([0] * 8 + [8], a)
     # zero-size runs skip an image
     m2 = collapse_mapping([0, 3, 0, 5], a)
     assert m2.images == (1, 1, 1, 3, 3, 3, 3, 3)
@@ -62,14 +62,15 @@ def test_collapse_mapping_takes_an_iterator():
 
 
 def test_distance_compatibility():
-    # forward_program takes a mapping exactly when the images of
-    # consecutive indices differ by at most 1
+    # the paper's sufficient condition: images of consecutive indices
+    # differ by at most 1.  All 68 such mappings of 2^2 route, and so do
+    # others, such as (3, 2, 0, 1); tests/test_sweep_census.py has them all
     a = Alphabet(2, 2)
-    for images in ((0, 1, 2, 3), (1, 1, 0, 0)):
+    compatible = [images for images in itertools.product(range(4), repeat=4)
+                  if all(abs(y - x) <= 1 for x, y in zip(images, images[1:]))]
+    assert len(compatible) == 68
+    for images in compatible + [(3, 2, 0, 1)]:
         assert execute_all(forward_program(Mapping(a, images))).images == images
-    for images in ((0, 2, 2, 3), (3, 2, 0, 1)):
-        with pytest.raises(NotDistanceCompatible):
-            forward_program(Mapping(a, images))
 
 
 def test_forward_program_worked_example():
@@ -91,9 +92,14 @@ def test_forward_program_worked_example():
 
 
 def test_forward_program_rejects():
+    # inputs 0 and 1 both stand at index 0 after component 1, and their
+    # images 0 and 2 differ on component 2: no program with signature 1, 2
+    # computes the mapping
     a = Alphabet(2, 2)
-    with pytest.raises(NotDistanceCompatible):
+    with pytest.raises(InSituError, match="^component 2 at index 0 must become both 0 and 1$"):
         forward_program(Mapping(a, (0, 2, 2, 3)))
+    with pytest.raises(InSituError, match="^component 3 at index 0 must become both 0 and 1$"):
+        forward_program(Mapping(Alphabet(2, 3), (0, 4, 4, 4, 4, 4, 4, 4)))
 
 
 @pytest.mark.parametrize("s,n", [(2, 2), (2, 3), (3, 2), (2, 4), (3, 3)])
@@ -141,10 +147,18 @@ def test_backward_restricted_full_range_is_bijection():
 
 def test_backward_restricted_rejects():
     a = Alphabet(2, 2)
-    with pytest.raises(NotOrderPreserving):
-        backward_restricted_program(Mapping(a, (2, 1, 0, 0)), 0, 1)
-    with pytest.raises(ValueError):
-        backward_restricted_program(Mapping.identity(a), 2, 5)
+    # inputs 0 and 2 agree on component 1, and so do their images 1 and 0
+    # above it: after component 2 both stand at index 0, asking for two
+    # different digits of component 1
+    with pytest.raises(InSituError, match="^component 1 at index 0 must become both 1 and 0$"):
+        backward_restricted_program(Mapping(a, (1, 3, 0, 0)), 0, 2)
+    for lo, hi in ((2, 5), (-1, 0), (2, 1)):
+        with pytest.raises(ValueError, match=r"^bad range"):
+            backward_restricted_program(Mapping.identity(a), lo, hi)
+    # a descent is routed when no two inputs meet: 0 and 1 differ on
+    # component 1, which the sweep writes last
+    e = Mapping(a, (2, 1, 0, 0))
+    assert execute_all(backward_restricted_program(e, 0, 1)).images[:2] == (2, 1)
 
 
 @pytest.mark.parametrize("s,n", [(2, 2), (2, 3), (3, 2)])
@@ -194,6 +208,8 @@ def test_factor_by_classes_custom_slots():
         factor_by_classes(e, slots=(2,))
     with pytest.raises(InvalidOrdering):
         factor_by_classes(e, slots=(2, 0, 1))
+    with pytest.raises(InvalidOrdering, match="^5 runs do not fit an index space of 4$"):
+        factor_by_classes(e, slots=(2, None, None, None, 0))
 
 
 def test_compile_general5_exhaustive_boolean_pairs():

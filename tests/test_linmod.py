@@ -76,6 +76,8 @@ def test_matrix_mod():
     assert MatrixMod.identity(r, 3).apply((4, 2, 3)) == (4, 2, 3)
     with pytest.raises(DimensionMismatch):
         MatrixMod.of(r, [[1, 2], [3]])
+    with pytest.raises(DimensionMismatch, match=r"^matrix must be at least 1 x 1$"):
+        MatrixMod.of(r, [])
 
 
 def test_assignment_matrix():
@@ -375,7 +377,13 @@ def test_linear_program_checks_coefficients():
      "row 1.0 is not an integer"),
     (lambda: LinearProgram(ModRing.of(5), 2, (AssignmentMatrix(2, (0, 1)), AssignmentMatrix("1", (1, 2)))),
      "row '1' is not an integer"),
-], ids=["modulus-float", "modulus-str", "entry-float", "entry-str", "row-float", "row-str"])
+    # a size that compares equal to the rows' length is still refused
+    (lambda: LinearProgram(ModRing.of(5), 2.0, (AssignmentMatrix(1, (1, 2)),)),
+     "size 2.0 is not an integer"),
+    (lambda: LinearProgram(ModRing.of(5), "2", ()), "size '2' is not an integer"),
+    (lambda: LinearProgram(ModRing.of(5), 0, ()), "size must be at least 1, got 0"),
+], ids=["modulus-float", "modulus-str", "entry-float", "entry-str", "row-float", "row-str",
+        "size-float", "size-str", "size-zero"])
 def test_linear_input_types_are_checked_at_entry(build, message):
     # refused before any % runs on the value, so no TypeError escapes
     with pytest.raises(ValueError) as exc:

@@ -5,18 +5,24 @@ build its descending sweep: it completes the inverse of the range to a
 distance-compatible staircase, sweeps that upward over the whole index
 space, then inverts the sweep stage by stage, following where the
 images of the range land.  The program now sweeps the range straight
-down onto its images.  Both must give the same steps, table for table.
+down onto its images.  Both must give the same steps, table for table, on
+the strictly increasing ranges the reference takes; the sweep also
+places every other range its butterfly routes.
 """
 
 from bisect import bisect_right
 
 import pytest
 
-from insitu.core import Alphabet, InSituError, Mapping, step_images
-from insitu.factor import NotOrderPreserving, backward_restricted_program
+from insitu.core import Alphabet, InSituError, Mapping, execute_all, step_images
+from insitu.factor import backward_restricted_program
 from insitu.rng import SplitMix64
 
 SPACES = [(s, n) for s in (2, 3, 4, 5, 7) for n in range(1, 9) if s ** n <= 256]
+
+
+class Descent(InSituError):
+    """The reference completes only strictly increasing ranges."""
 
 
 def _stage_table(a, target, positions, values):
@@ -46,7 +52,7 @@ def _reference_backward(mapping, lo, hi):
     ms = [mapping.images[j] for j in range(lo, hi + 1)]
     for prev, cur in zip(ms, ms[1:]):
         if cur <= prev:
-            raise NotOrderPreserving("images must be strictly increasing on the range")
+            raise Descent("images must be strictly increasing on the range")
     completion = [lo + max(bisect_right(ms, t) - 1, 0) for t in range(a.size)]
     positions = ms
     steps = []
@@ -85,7 +91,18 @@ def test_descending_sweep_matches_staircase_inversion():
 @pytest.mark.parametrize("s,n", [(2, 3), (3, 2), (5, 2)])
 def test_both_reject_a_descent_on_the_range(s, n):
     a = Alphabet(s, n)
+    # inputs 1 and 1 + s agree on component 1, and their images 1 and 0
+    # agree above it, so the sweep meets them at one entry of its last stage
+    images = list(range(a.size))[::-1]
+    images[1], images[1 + s] = 1, 0
+    with pytest.raises(Descent):
+        _reference_backward(Mapping(a, tuple(images)), 1, 1 + s)
+    with pytest.raises(InSituError, match="^component 1 at index 1 must become both 1 and 0$"):
+        backward_restricted_program(Mapping(a, tuple(images)), 1, 1 + s)
+    # inputs 1 and 2 differ on component 1, so the sweep places the descent
+    # the reference refuses
     images = tuple(range(a.size))[::-1]
-    for build in (backward_restricted_program, _reference_backward):
-        with pytest.raises(NotOrderPreserving):
-            build(Mapping(a, images), 1, 2)
+    with pytest.raises(Descent):
+        _reference_backward(Mapping(a, images), 1, 2)
+    got = execute_all(backward_restricted_program(Mapping(a, images), 1, 2)).images
+    assert got[1:3] == images[1:3]
