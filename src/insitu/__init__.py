@@ -29,11 +29,9 @@ from .core import (
     regroup,
     vector_of,
 )
-from .benes import NotRegular, SuffixGraph, edge_color, route_bijection, route_bijection_reversed, suffix_graph
+from .benes import SuffixGraph, edge_color, route_bijection, route_bijection_reversed, suffix_graph
 from .factor import (
     ClassFactorisation,
-    InvalidOrdering,
-    SizesDoNotSum,
     backward_restricted_program,
     collapse_mapping,
     compile_general4_sorted,
@@ -43,9 +41,6 @@ from .factor import (
     preimage_classes,
 )
 from .blockseq import (
-    BadChoice,
-    BadLength,
-    BadSum,
     BlockSequence,
     compile_general4_flexible,
     compose_forward_program,
@@ -56,12 +51,10 @@ from .blockseq import (
 )
 from .linmod import (
     AssignmentMatrix,
-    DimensionMismatch,
     LinearProgram,
     MatrixMod,
     ModRing,
     NotInvertible,
-    ZeroColumn,
     coefficient_program,
     decompose,
     invert_linear_program,

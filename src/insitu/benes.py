@@ -20,8 +20,9 @@ degree d > 1 first takes one perfect matching, found by Kuhn's
 augmenting-path search, as a color of its own.  So s = 2^k needs no
 matching, and s = 3, 5, 6, 7 need 1, 1, 2, 3 per level.
 
-Regularity is checked where a graph enters, in `edge_color`; the level
-graphs of `route_bijection` are s-regular by construction.
+Regularity is checked where a graph enters, in `edge_color`, which
+refuses an irregular graph as a malformed argument (`ValueError`); the
+level graphs of `route_bijection` are s-regular by construction.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from operator import itemgetter
 
 from .core import (
     Assignment,
-    InSituError,
     InSituProgram,
     Mapping,
     NotBijective,
@@ -42,10 +42,6 @@ from .core import (
     component_permutation,
     step_images,
 )
-
-
-class NotRegular(InSituError):
-    """Every vertex on both sides must have degree exactly s."""
 
 
 @dataclass(frozen=True)
@@ -77,8 +73,8 @@ def edge_color(graph: SuffixGraph) -> tuple[int, ...]:
 
     Returns one color in [0, s) per edge, aligned with graph.edges.
     Deterministic: the same graph always gets the same coloring.
-    Raises ValueError for an endpoint outside [0, order) and NotRegular
-    unless every vertex has degree s.
+    Raises ValueError for an endpoint outside [0, order) or a vertex
+    whose degree is not s.
     """
     s, order = graph.s, graph.order
     left = [l for l, _, _ in graph.edges]
@@ -90,7 +86,7 @@ def edge_color(graph: SuffixGraph) -> tuple[int, ...]:
     deg_left, deg_right = Counter(left), Counter(right)
     for v in range(order):
         if deg_left[v] != s or deg_right[v] != s:
-            raise NotRegular(f"vertex {v} has degrees {deg_left[v]}/{deg_right[v]}, need {s}/{s}")
+            raise ValueError(f"vertex {v} has degrees {deg_left[v]}/{deg_right[v]}, need {s}/{s}")
     colors = [-1] * len(left)
     if left:  # with no edges, any s passes the degree check
         _euler_partition(s, order, left, right, colors)

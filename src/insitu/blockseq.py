@@ -15,39 +15,26 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import Sequence
 
 from . import benes
 from .core import (
-    InSituError,
     InSituProgram,
     Mapping,
     NotBoolean,
+    _check_ints,
     _unchecked,
     concat,
     execute_all,
     merge_adjacent,
 )
-from .factor import InvalidOrdering, _sweep_program, factor_by_classes, preimage_classes
-
-
-class BadLength(InSituError):
-    """Block sequences have length a power of two."""
-
-
-class BadSum(InSituError):
-    """The values must add up to the length of the sequence."""
-
-
-class BadChoice(InSituError):
-    """A tree permutation needs one boolean choice per internal node."""
+from .factor import _sweep_program, factor_by_classes, preimage_classes
 
 
 def _log2_exact(count: int) -> int:
     n = count.bit_length() - 1
     if count < 1 or count != 1 << n:
-        raise BadLength(f"length {count} is not a power of two")
+        raise ValueError(f"length {count} is not a power of two")
     return n
 
 
@@ -58,6 +45,7 @@ class BlockSequence:
     values: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        _check_ints(self.values, "block sequence value")
         if any(v < 0 for v in self.values):
             raise ValueError("block sequence values must be non-negative")
         # every aligned block of 2^i entries sums to a multiple of 2^i:
@@ -84,10 +72,11 @@ def make_block_sequence(values: Sequence[int]) -> tuple[BlockSequence, tuple[int
     """
     count = len(values)
     _log2_exact(count)
+    _check_ints(values, "value")
     if any(v < 0 for v in values):
-        raise BadSum("values must be non-negative")
+        raise ValueError("values must be non-negative")
     if sum(values) != count:
-        raise BadSum(f"values sum to {sum(values)}, need {count}")
+        raise ValueError(f"values sum to {sum(values)}, need {count}")
 
     # block = (position of first member, entry tuple, origin tuple, block value)
     blocks = [(pos, (v,), (pos,), v) for pos, v in enumerate(values)]
@@ -107,7 +96,7 @@ def make_block_sequence(values: Sequence[int]) -> tuple[BlockSequence, tuple[int
             raise AssertionError("parity classes did not pair off")
         blocks = sorted(paired)
     _, entries, origins, _ = blocks[0]
-    return BlockSequence(entries), origins
+    return _unchecked(BlockSequence, entries), origins
 
 
 def tree_choice_count(n: int) -> int:
@@ -126,7 +115,7 @@ def permute_block_tree(b: BlockSequence, choices: Sequence[bool]) -> BlockSequen
     """
     n = b.n
     if len(choices) != tree_choice_count(n):
-        raise BadChoice(f"need {tree_choice_count(n)} choices, got {len(choices)}")
+        raise ValueError(f"need {tree_choice_count(n)} choices, got {len(choices)}")
     vals = list(b.values)
     idx = 0
     for level in range(n, 0, -1):
@@ -138,7 +127,7 @@ def permute_block_tree(b: BlockSequence, choices: Sequence[bool]) -> BlockSequen
                 vals[start:start + half], vals[start + half:start + width] = (
                     vals[start + half:start + width], vals[start:start + half])
             idx += 1
-    return BlockSequence(tuple(vals))
+    return _unchecked(BlockSequence, tuple(vals))
 
 
 def is_suffix_compatible(mapping: Mapping) -> bool:
@@ -166,11 +155,8 @@ def compose_forward_program(mapping: Mapping, head: InSituProgram) -> InSituProg
     ..., n (the first half of a routing) always routes.
     """
     a = mapping.alphabet
-    if head.alphabet != a:
-        raise ValueError("alphabet mismatch")
-    target = execute_all(head)
-    composed = itemgetter(*mapping.images)(target.images)  # a tuple, since size >= 2
-    return _sweep_program(a, range(a.size), composed, range(1, a.n + 1))
+    composed = execute_all(head).compose(mapping)
+    return _sweep_program(a, range(a.size), composed.images, range(1, a.n + 1))
 
 
 def compile_general4_flexible(
@@ -206,11 +192,11 @@ def compile_general4_flexible(
     else:
         slots = list(slot_images)
         if len(slots) != a.size:
-            raise InvalidOrdering(f"need {a.size} runs, got {len(slots)}")
+            raise ValueError(f"need {a.size} runs, got {len(slots)}")
         for y, v in zip(slots, bseq.values):
             have = len(classes.get(y, ()))
             if have != v:
-                raise InvalidOrdering("run sizes disagree with the block sequence")
+                raise ValueError("run sizes disagree with the block sequence")
 
     fac = factor_by_classes(e, tuple(slots))
     g = benes.route_bijection(fac.pre)

@@ -35,6 +35,7 @@ from .core import (
     InSituError,
     InSituProgram,
     Mapping,
+    _check_ints,
     _unchecked,
     concat,
     merge_adjacent,
@@ -42,29 +43,23 @@ from .core import (
 )
 
 
-class InvalidOrdering(InSituError):
-    """The class ordering must list every distinct image exactly once."""
-
-
-class SizesDoNotSum(InSituError):
-    """Run sizes must add up to the size of the index space."""
-
-
 def collapse_mapping(sizes: Sequence[int], alphabet: Alphabet) -> Mapping:
     """Mapping sending the t-th run of consecutive indices onto index t.
 
     sizes[t] is the length of run t; runs of size zero are allowed and
-    simply skip an image.
+    simply skip an image.  Sizes that are not integers, are negative or
+    do not sum to the index space's size raise `ValueError`.
     """
     sizes = tuple(sizes)
+    _check_ints(sizes, "run size")
     total = sum(sizes)
     size = alphabet.size
     if total != size:
-        raise SizesDoNotSum(f"sizes sum to {total}, index space has {size}")
+        raise ValueError(f"sizes sum to {total}, index space has {size}")
     images: list[int] = []
     for t, v in enumerate(sizes):
         if v < 0:
-            raise SizesDoNotSum(f"negative run size {v}")
+            raise ValueError(f"negative run size {v}")
         if v and t >= size:
             raise ValueError(f"run {t} is outside the index space")
         images.extend([t] * v)
@@ -176,9 +171,9 @@ def factor_by_classes(e: Mapping, slots: Sequence[int | None] | None = None) -> 
         slots = tuple(slots)
         named = [y for y in slots if y is not None]
         if sorted(named) != sorted(classes):
-            raise InvalidOrdering("slots must name every distinct image exactly once")
+            raise ValueError("slots must name every distinct image exactly once")
         if len(slots) > a.size:
-            raise InvalidOrdering(f"{len(slots)} runs do not fit an index space of {a.size}")
+            raise ValueError(f"{len(slots)} runs do not fit an index space of {a.size}")
 
     sizes = [len(classes[y]) if y is not None else 0 for y in slots]
     pre_images = [0] * a.size
@@ -210,7 +205,7 @@ def compile_general5(e: Mapping, slots: Sequence[int | None] | None = None) -> I
     """
     fac = factor_by_classes(e, slots)
     if any(y is None for y in fac.slots):
-        raise InvalidOrdering("empty runs are not allowed here")
+        raise ValueError("empty runs are not allowed here")
     g = benes.route_bijection(fac.pre)
     i = forward_program(fac.collapse)
     f = benes.route_bijection_reversed(fac.post)

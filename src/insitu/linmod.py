@@ -16,7 +16,10 @@ inverses mod s; s is never factored, so any modulus works.
 
 Linear input is checked where it enters: `ModRing.of`, `MatrixMod.of`
 and `LinearProgram(...)`, whose coefficients must be integers in [0, s).
-What this module derives from checked input is built unchecked.
+What this module derives from checked input is built unchecked.  A
+malformed argument (a matrix that is not square, a factor of the wrong
+size or row, a column of zeros for `unit_multipliers`) raises
+`ValueError`; `NotInvertible` is the one verdict, on a non-unit.
 """
 
 from __future__ import annotations
@@ -39,16 +42,8 @@ from .core import (
 from .minsim import routing_of
 
 
-class ZeroColumn(InSituError):
-    """All residues of the column are zero mod s."""
-
-
 class NotInvertible(InSituError):
     """Some factor has a non-unit diagonal entry, so no inverse exists."""
-
-
-class DimensionMismatch(InSituError):
-    """Matrices and factors must agree on their size."""
 
 
 @dataclass(frozen=True)
@@ -89,9 +84,9 @@ class MatrixMod:
         reduced = tuple(tuple(v % ring.s for v in row) for row in rows)
         n = len(reduced)
         if any(len(row) != n for row in reduced):
-            raise DimensionMismatch("matrix must be square")
+            raise ValueError("matrix must be square")
         if n < 1:
-            raise DimensionMismatch("matrix must be at least 1 x 1")
+            raise ValueError("matrix must be at least 1 x 1")
         return cls(ring, n, reduced)
 
     @classmethod
@@ -136,9 +131,9 @@ class LinearProgram:
         _check_ints([fac.row for fac in self.factors], "row")
         for pos, fac in enumerate(self.factors):
             if len(fac.coefficients) != self.n:
-                raise DimensionMismatch("factor does not match the program's size")
+                raise ValueError("factor does not match the program's size")
             if not 1 <= fac.row <= self.n:
-                raise DimensionMismatch(f"row {fac.row} out of range")
+                raise ValueError(f"row {fac.row} out of range")
             _check_values(fac.coefficients, self.ring.s, pos, "coefficient")
 
     def __len__(self) -> int:
@@ -154,12 +149,19 @@ class LinearProgram:
 
 
 def product(factors: Iterable[AssignmentMatrix], ring: ModRing, n: int) -> MatrixMod:
-    """Product over `ring` of n x n assignment matrices, leftmost factor first."""
+    """Product over `ring` of n x n assignment matrices, leftmost factor first.
+
+    A factor whose size is not n, or whose row is not an integer in
+    [1, n], raises `ValueError`."""
     s = ring.s
+    factors = tuple(factors)
+    _check_ints([fac.row for fac in factors], "row")
     acc = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    for fac in reversed(tuple(factors)):
+    for fac in reversed(factors):
         if len(fac.coefficients) != n:
-            raise DimensionMismatch("factor does not match the product's size")
+            raise ValueError("factor does not match the product's size")
+        if not 1 <= fac.row <= n:
+            raise ValueError(f"row {fac.row} out of range")
         k = fac.row - 1
         live = [(c, acc[j]) for j, c in enumerate(fac.coefficients) if c]
         acc[k] = [sum(c * row[l] for c, row in live) % s for l in range(n)]
@@ -190,7 +192,7 @@ def unit_multipliers(xs: Sequence[int], i0: int, ring: ModRing) -> tuple[int, ..
     if not 1 <= i0 <= len(reps):
         raise ValueError(f"index {i0} out of range")
     if all(r == 0 for r in reps):
-        raise ZeroColumn("all residues are zero")
+        raise ValueError("all residues are zero")
     g = math.gcd(*reps)
     scaled = [r // g for r in reps]
     k = i0 - 1

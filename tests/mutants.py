@@ -127,6 +127,12 @@ MUTANTS = [
      "        if len(fac.coefficients) != n:",
      "        if False:",
      ["tests/test_linmod.py::test_product_empty"]),
+    ("product skips its row check",
+     "src/insitu/linmod.py",
+     "        if not 1 <= fac.row <= n:",
+     "        if False:",
+     ["tests/test_linmod.py::test_product_refuses_rows_out_of_range[zero]",
+      "tests/test_linmod.py::test_product_refuses_rows_out_of_range[past-n]"]),
     ("LinearProgram skips its size check",
      "src/insitu/linmod.py",
      "            if len(fac.coefficients) != self.n:",
@@ -194,6 +200,21 @@ MUTANTS = [
      "        pass",
      ["tests/test_linmod.py::test_linear_input_types_are_checked_at_entry[size-float]",
       "tests/test_linmod.py::test_linear_input_types_are_checked_at_entry[size-str]"]),
+    ("make_block_sequence skips its value type check",
+     "src/insitu/blockseq.py",
+     '    _check_ints(values, "value")',
+     "    pass",
+     ["tests/test_blockseq.py::test_make_block_sequence_errors"]),
+    ("BlockSequence skips its value type check",
+     "src/insitu/blockseq.py",
+     '        _check_ints(self.values, "block sequence value")',
+     "        pass",
+     ["tests/test_blockseq.py::test_block_sequence_tree"]),
+    ("collapse_mapping skips its run size type check",
+     "src/insitu/factor.py",
+     '    _check_ints(sizes, "run size")',
+     "    pass",
+     ["tests/test_factor.py::test_collapse_mapping"]),
     ("execute skips its component type check",
      "src/insitu/core.py",
      '    _check_ints(digits, "component")',

@@ -6,7 +6,6 @@ import pytest
 
 from insitu import Alphabet, Mapping, NotBijective, benes, execute_all, minsim
 from insitu.benes import (
-    NotRegular,
     SuffixGraph,
     edge_color,
     route_bijection,
@@ -59,8 +58,10 @@ def test_not_regular():
     three = ((0, 0, 0), (0, 0, 1), (0, 1, 2), (1, 0, 3), (1, 0, 4), (1, 1, 5))
     # s = 4: left vertex 0 has degree 5, left vertex 1 only 3
     four = tuple((0 if i < 5 else 1, i % 2, i) for i in range(8))
-    for s, edges in [(2, two), (3, three), (4, four)]:
-        with pytest.raises(NotRegular):
+    for s, edges, message in [(2, two, "^vertex 0 has degrees 2/1, need 2/2$"),
+                              (3, three, "^vertex 0 has degrees 3/4, need 3/3$"),
+                              (4, four, "^vertex 0 has degrees 5/4, need 4/4$")]:
+        with pytest.raises(ValueError, match=message):
             edge_color(SuffixGraph(s, 2, edges))
 
 

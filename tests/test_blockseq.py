@@ -6,9 +6,6 @@ from hypothesis import given, strategies as st
 from insitu import Alphabet, Assignment, InSituError, InSituProgram, Mapping, NotBoolean, execute_all
 from insitu.benes import route_bijection
 from insitu.blockseq import (
-    BadChoice,
-    BadLength,
-    BadSum,
     BlockSequence,
     compile_general4_flexible,
     compose_forward_program,
@@ -17,7 +14,7 @@ from insitu.blockseq import (
     permute_block_tree,
     tree_choice_count,
 )
-from insitu.factor import InvalidOrdering, collapse_mapping, forward_program
+from insitu.factor import collapse_mapping, forward_program
 from insitu.rng import SplitMix64, random_mapping
 
 
@@ -28,7 +25,7 @@ def test_is_block_sequence():
     for values in ((2, 1, 3, 2), (1, 2)):
         with pytest.raises(ValueError, match="^not a block sequence$"):
             BlockSequence(values)
-    with pytest.raises(BadLength):
+    with pytest.raises(ValueError, match="^length 3 is not a power of two$"):
         BlockSequence((1, 1, 2))
 
 
@@ -39,6 +36,9 @@ def test_block_sequence_tree():
         BlockSequence((2, 1, 3, 2))
     with pytest.raises(ValueError):
         BlockSequence((1, -1, 2, 2))
+    # values that compare equal to integers are still refused
+    with pytest.raises(ValueError, match=r"^block sequence value 1\.0 is not an integer$"):
+        BlockSequence((1.0, 1.0))
 
 
 def test_make_block_sequence_sixteen():
@@ -52,12 +52,15 @@ def test_make_block_sequence_sixteen():
 
 
 def test_make_block_sequence_errors():
-    with pytest.raises(BadSum):
+    with pytest.raises(ValueError, match="^values sum to 5, need 4$"):
         make_block_sequence([1, 1, 1, 2])
-    with pytest.raises(BadSum):
+    with pytest.raises(ValueError, match="^values must be non-negative$"):
         make_block_sequence([5, -1, 0, 0])
-    with pytest.raises(BadLength):
+    with pytest.raises(ValueError, match="^length 3 is not a power of two$"):
         make_block_sequence([1, 1, 1])
+    # refused before any parity is taken with &
+    with pytest.raises(ValueError, match=r"^value 4\.0 is not an integer$"):
+        make_block_sequence([0, 4.0, 0, 0])
 
 
 @given(st.integers(0, 4), st.data())
@@ -98,7 +101,7 @@ def test_permute_block_tree_all_choices():
         seen.add(out.values)
     assert (1, 3, 2, 2) in seen
     assert (2, 2, 1, 3) in seen
-    with pytest.raises(BadChoice):
+    with pytest.raises(ValueError, match="^need 3 choices, got 1$"):
         permute_block_tree(b, (True,))
 
 
@@ -166,7 +169,7 @@ def test_compose_forward_program_validation():
     assert execute_all(compose_forward_program(skewed, head3)) == skewed
     with pytest.raises(InSituError, match="^component 2 at index 0 must become both 0 and 1$"):
         compose_forward_program(Mapping(a, (0, 2, 2, 3)), head)
-    with pytest.raises(ValueError, match="^alphabet mismatch$"):
+    with pytest.raises(ValueError, match="^alphabet mismatch in composition$"):
         compose_forward_program(collapse, head3)
 
 
@@ -226,9 +229,9 @@ def test_compile_general4_flexible_slot_override():
         slots.append({3: 0, 1: 3, 0: None}[v])
     p = compile_general4_flexible(e, slot_images=slots)
     assert execute_all(p).images == e.images
-    with pytest.raises(InvalidOrdering):
+    with pytest.raises(ValueError, match="^need 4 runs, got 2$"):
         compile_general4_flexible(e, slot_images=[0, 3])
-    with pytest.raises(InvalidOrdering):
+    with pytest.raises(ValueError, match="^run sizes disagree with the block sequence$"):
         compile_general4_flexible(Mapping(a, (0, 0, 1, 1)), slot_images=(0, 3, None, None))
 
 

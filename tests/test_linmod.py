@@ -5,12 +5,10 @@ import pytest
 from insitu import Alphabet, execute, execute_all, vector_of
 from insitu.linmod import (
     AssignmentMatrix,
-    DimensionMismatch,
     LinearProgram,
     MatrixMod,
     ModRing,
     NotInvertible,
-    ZeroColumn,
     coefficient_program,
     decompose,
     identity_row,
@@ -74,9 +72,9 @@ def test_matrix_mod():
     assert m.entries == ((2, 4), (0, 2))
     assert m.apply((1, 1)) == (1, 2)
     assert MatrixMod.identity(r, 3).apply((4, 2, 3)) == (4, 2, 3)
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(ValueError, match="^matrix must be square$"):
         MatrixMod.of(r, [[1, 2], [3]])
-    with pytest.raises(DimensionMismatch, match=r"^matrix must be at least 1 x 1$"):
+    with pytest.raises(ValueError, match=r"^matrix must be at least 1 x 1$"):
         MatrixMod.of(r, [])
 
 
@@ -103,8 +101,21 @@ def test_product_order():
 def test_product_empty():
     r = ModRing.of(3)
     assert product([], r, 2).entries == ((1, 0), (0, 1))
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(ValueError, match="^factor does not match the product's size$"):
         product([AssignmentMatrix(1, (1, 0, 0))], r, 2)
+
+
+@pytest.mark.parametrize("row,message", [
+    (0, "row 0 out of range"),  # would index acc[-1] and rewrite the last row
+    (3, "row 3 out of range"),
+    (1.0, "row 1.0 is not an integer"),
+], ids=["zero", "past-n", "float"])
+def test_product_refuses_rows_out_of_range(row, message):
+    # the factors of a product are not checked by LinearProgram, so product
+    # checks each row itself, as LinearProgram does
+    with pytest.raises(ValueError) as exc:
+        product([AssignmentMatrix(1, (1, 0)), AssignmentMatrix(row, (2, 3))], ModRing.of(5), 2)
+    assert str(exc.value) == message
 
 
 def test_product_random_against_naive():
@@ -226,7 +237,7 @@ def test_unit_multipliers_postcondition_random():
 
 def test_unit_multipliers_zero_column():
     r = ModRing.of(4)
-    with pytest.raises(ZeroColumn):
+    with pytest.raises(ValueError, match="^all residues are zero$"):
         unit_multipliers((0, 4, 8), 1, r)
     with pytest.raises(ValueError):
         unit_multipliers((1, 2), 3, r)
@@ -350,9 +361,9 @@ def test_to_in_situ_matches_matrix():
 
 def test_linear_program_validation():
     r = ModRing.of(5)
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(ValueError, match="^row 3 out of range$"):
         LinearProgram(r, 2, (AssignmentMatrix(3, (1, 0)),))
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(ValueError, match="^factor does not match the program's size$"):
         LinearProgram(r, 2, (AssignmentMatrix(1, (1, 0, 0)),))
 
 
