@@ -101,6 +101,7 @@ def make_block_sequence(values: Sequence[int]) -> tuple[BlockSequence, tuple[int
 
 def tree_choice_count(n: int) -> int:
     """Number of internal nodes of the pairing tree over 2^n leaves."""
+    _check_ints((n,), "n")
     if n < 0:
         raise ValueError("n must be non-negative")
     return (1 << n) - 1

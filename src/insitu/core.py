@@ -210,7 +210,9 @@ def step_images(tab: Sequence[int], target: int, alphabet: Alphabet) -> list[int
     """Where one step sends every index: component `target` of index v
     becomes tab[v], the other components stay.  This is the exchange
     between two stages of the network of a signature; a trace up to 256
-    indices, or at s > 128, composes these lists.
+    indices, or at s > 128, composes these lists.  The BFS oracle calls it
+    only for a hand-passed universe: it builds the full universe's steps
+    a component at a time.
 
     Its form forks by size.  Up to 256 indices CPython's cached small
     ints make the comprehension the faster form, and the suite and oracle

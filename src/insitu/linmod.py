@@ -151,11 +151,12 @@ class LinearProgram:
 def product(factors: Iterable[AssignmentMatrix], ring: ModRing, n: int) -> MatrixMod:
     """Product over `ring` of n x n assignment matrices, leftmost factor first.
 
-    A factor whose size is not n, or whose row is not an integer in
-    [1, n], raises `ValueError`."""
+    A factor whose size is not n, whose row is not an integer in [1, n],
+    or whose coefficients are not integers raises `ValueError`."""
     s = ring.s
     factors = tuple(factors)
     _check_ints([fac.row for fac in factors], "row")
+    _check_ints([c for fac in factors for c in fac.coefficients], "coefficient")
     acc = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     for fac in reversed(factors):
         if len(fac.coefficients) != n:

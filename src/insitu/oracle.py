@@ -4,7 +4,11 @@
 breadth-first search over compositions of single assignments, so compiler
 output lengths can be checked against the true optimum on small spaces.
 It codes a state in one byte per index, so it composes a step with one
-`bytes.translate` and takes at most 256 indices.
+`bytes.translate` and takes at most 256 indices.  In the default (full)
+universe it builds each component's step tables at once, as the
+`itertools.product` of the values each index can take; only a
+hand-passed universe's tables go through `core.step_images`, one call
+per assignment.
 `method_signature` spells each method's signature, which is the stage
 network its programs route through and fixes their length.
 `exhaustive_suite` runs a compiler over every input (or a seeded sample)
@@ -90,19 +94,27 @@ def min_length_bfs(
     level max_len are never built; the levels below it are stored, and
     more than max_states stored states raise BudgetExceeded.  A negative
     max_len or max_states is a ValueError.
+
+    The step tables are built once, when a level is first expanded.  In
+    the default universe component i's tables are the products of the
+    lanes rest_i[v] + s^(i-1) * d, d < s, where rest_i is the index with
+    digit i zeroed: one `itertools.product` per component, in the
+    universe's order.  A hand-passed universe's tables are arbitrary, so
+    each goes through `assignment_table` and `step_images`.
     """
     if max_len < 0 or max_states < 0:
         raise ValueError(f"max_len and max_states must not be negative, "
                          f"got {max_len} and {max_states}")
     a = e.alphabet
     s, size = a.s, a.size
-    full = _full_steps(a) if universe is None else None  # refused past its cap first
+    if universe is None:
+        _full_steps(a)  # refuses a universe past its cap before anything is built
     if tuple(e.images) == tuple(range(size)):
         return 0
     if size > _BYTE_LANES:
         raise BudgetExceeded(f"{s}^{a.n} indices; the oracle codes a state in one byte "
                              f"per index, so it takes at most {_BYTE_LANES}")
-    if full is None:
+    if universe is not None:
         steps = [(assignment_table(asg, a), asg.target) for asg in universe]
         # i's tables, or None where the universe holds all s^size of them:
         # then any function of the state's values is a table for i
@@ -113,7 +125,6 @@ def min_length_bfs(
             if len(set(map(tuple, tabs))) == s ** size:
                 scans[i] = None
     else:
-        steps = list(full)
         scans = dict.fromkeys(range(1, a.n + 1))
     pad = bytes(_BYTE_LANES - size)  # a translate table has 256 entries
     target = bytes(e.images)
@@ -149,7 +160,9 @@ def min_length_bfs(
             return depth
         if depth == max_len:
             return None
-        trans = trans or [bytes(step_images(tab, i, a)) + pad for tab, i in steps]
+        if not trans:
+            trans = (_full_transitions(a, pad) if universe is None
+                     else [bytes(step_images(tab, i, a)) + pad for tab, i in steps])
         nxt = []
         for state in frontier:
             new = set(map(state.translate, trans))
@@ -162,6 +175,21 @@ def min_length_bfs(
             return None
         frontier = nxt
     return None
+
+
+def _full_transitions(alphabet: Alphabet, pad: bytes) -> list[bytes]:
+    # the translate tables of the full universe, in its order: the step
+    # "component i := tab" sends index v to rest_i[v] + pw * tab[v], with
+    # rest_i the index with digit i zeroed and pw = s^(i-1), and the
+    # universe holds every tab, so i's tables are the products of the
+    # lanes range(rest_i[v], rest_i[v] + s * pw, pw), built in C
+    s, size = alphabet.s, alphabet.size
+    trans = []
+    for i in range(1, alphabet.n + 1):
+        pw = s ** (i - 1)
+        lanes = [range(r, r + s * pw, pw) for r in _digit_runs(pw, s, size, pw * s)]
+        trans += [bytes(t) + pad for t in itertools.product(*lanes)]
+    return trans
 
 
 def _reaches(state: bytes, digit: bytes, tabs: list[Sequence[int]] | None) -> bool:

@@ -59,6 +59,15 @@ MUTANTS = [
      "            if len(set(map(tuple, tabs))) == s ** size:",
      "            if True:",
      ["tests/test_oracle_reference.py::test_all_boolean_mappings_at_n2_linear_universe"]),
+    # the full universe's tables are built by lanes of place value s^(i-1);
+    # at s = 2 a unit stride breaks only components i >= 2.  The lanes keep
+    # their s values: longer ones would multiply the product's size
+    ("the full universe's lanes step by 1, not by the place value",
+     "src/insitu/oracle.py",
+     "        lanes = [range(r, r + s * pw, pw) for r in _digit_runs(pw, s, size, pw * s)]",
+     "        lanes = [range(r, r + s) for r in _digit_runs(pw, s, size, pw * s)]",
+     ["tests/test_oracle_reference.py::test_full_transitions_match_step_images[2-2]",
+      "tests/test_oracle_reference.py::test_full_transitions_match_step_images[3-2]"]),
     # oracle.method_signature is the one spelling of each method's shape
     ("general5's reversed butterfly keeps its first stage at the junction",
      "src/insitu/oracle.py",
@@ -133,6 +142,11 @@ MUTANTS = [
      "        if False:",
      ["tests/test_linmod.py::test_product_refuses_rows_out_of_range[zero]",
       "tests/test_linmod.py::test_product_refuses_rows_out_of_range[past-n]"]),
+    ("product skips its coefficient check",
+     "src/insitu/linmod.py",
+     '    _check_ints([c for fac in factors for c in fac.coefficients], "coefficient")',
+     "    pass",
+     ["tests/test_linmod.py::test_product_empty"]),
     ("LinearProgram skips its size check",
      "src/insitu/linmod.py",
      "            if len(fac.coefficients) != self.n:",
@@ -210,6 +224,11 @@ MUTANTS = [
      '        _check_ints(self.values, "block sequence value")',
      "        pass",
      ["tests/test_blockseq.py::test_block_sequence_tree"]),
+    ("tree_choice_count skips its type check",
+     "src/insitu/blockseq.py",
+     '    _check_ints((n,), "n")',
+     "    pass",
+     ["tests/test_blockseq.py::test_tree_choice_count"]),
     ("collapse_mapping skips its run size type check",
      "src/insitu/factor.py",
      '    _check_ints(sizes, "run size")',

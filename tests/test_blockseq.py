@@ -81,6 +81,8 @@ def test_tree_choice_count():
     assert tree_choice_count(3) == 7
     with pytest.raises(ValueError):
         tree_choice_count(-1)
+    with pytest.raises(ValueError, match=r"^n 1\.5 is not an integer$"):
+        tree_choice_count(1.5)
 
 
 def test_permute_block_tree_root_swap():

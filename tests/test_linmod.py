@@ -103,6 +103,9 @@ def test_product_empty():
     assert product([], r, 2).entries == ((1, 0), (0, 1))
     with pytest.raises(ValueError, match="^factor does not match the product's size$"):
         product([AssignmentMatrix(1, (1, 0, 0))], r, 2)
+    # a coefficient that is not an integer is refused, as LinearProgram does
+    with pytest.raises(ValueError, match=r"^coefficient 0\.5 is not an integer$"):
+        product([AssignmentMatrix(1, (0.5, 0))], ModRing.of(5), 2)
 
 
 @pytest.mark.parametrize("row,message", [

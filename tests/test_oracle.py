@@ -51,16 +51,24 @@ def test_swap_needs_three_steps():
 
 
 def test_transitions_are_built_only_to_expand(monkeypatch):
-    calls = []
-    real = oracle.step_images
-    monkeypatch.setattr(oracle, "step_images", lambda *args: calls.append(args) or real(*args))
+    calls = {"_full_transitions": [], "step_images": []}
+    for name, got in calls.items():
+        real = getattr(oracle, name)
+        monkeypatch.setattr(oracle, name,
+                            lambda *args, got=got, real=real: got.append(args) or real(*args))
     a = Alphabet(2, 2)
     assert min_length_bfs(Mapping(a, (1, 0, 3, 2)), 3) == 1  # x_1 := 1 - x_1
     assert min_length_bfs(component_permutation((2, 1), a), 1) is None
-    assert calls == []
-    # two levels expanded, one transition list per assignment
+    assert calls == {"_full_transitions": [], "step_images": []}
+    # two levels expanded, the full universe's tables built once
     assert min_length_bfs(component_permutation((2, 1), a), 5) == 3
-    assert len(calls) == len(full_universe(a))
+    assert len(calls["_full_transitions"]) == 1
+    assert calls["step_images"] == []
+    # a hand-passed universe builds one transition list per assignment
+    universe = full_universe(a)
+    assert min_length_bfs(component_permutation((2, 1), a), 5, universe=universe) == 3
+    assert len(calls["_full_transitions"]) == 1
+    assert len(calls["step_images"]) == len(universe)
 
 
 @pytest.mark.parametrize("s", [2, 3])
@@ -126,9 +134,10 @@ def test_unreachable_returns_none():
 
 
 def test_default_universe_matches_the_reference():
-    # with no universe the search reads the full universe's (table, target)
-    # pairs and builds no assignment; the command line takes that path, so
-    # it must agree with the explicit full universe and the reference
+    # with no universe the search builds the full universe's steps a
+    # component at a time and builds no assignment; the command line takes
+    # that path, so it must agree with the explicit full universe and the
+    # reference
     a = Alphabet(2, 2)
     inputs = [(Mapping(a, images), 8) for images in itertools.product(range(4), repeat=4)]
     rng = SplitMix64(29)

@@ -17,7 +17,7 @@ import pytest
 import census
 from insitu.core import Alphabet, Assignment, Mapping, assignment_table, component_permutation, step_images
 from insitu.linmod import MatrixMod, ModRing, linear_mapping
-from insitu.oracle import BudgetExceeded, full_universe, min_length_bfs
+from insitu.oracle import BudgetExceeded, _full_steps, _full_transitions, full_universe, min_length_bfs
 from insitu.rng import SplitMix64, random_bijection, random_mapping
 
 
@@ -104,6 +104,35 @@ def test_seeded_boolean_mappings_at_n3_full_universe():
     a = Alphabet(2, 3)
     inputs = [draw(a, rng) for draw in (random_mapping, random_bijection) for _ in range(4)]
     _assert_same_verdicts(inputs, 2, full_universe)
+
+
+# every alphabet whose full universe fits the cap, which _full_steps checks
+@pytest.mark.parametrize("s, n", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (4, 1), (5, 1), (6, 1)])
+def test_full_transitions_match_step_images(s, n):
+    a = Alphabet(s, n)
+    pad = bytes(256 - a.size)
+    reference = [bytes(step_images(tab, i, a)) + pad for tab, i in _full_steps(a)]
+    assert _full_transitions(a, pad) == reference
+
+
+def test_default_universe_matches_the_explicit_one_at_3_2():
+    # the default universe's steps are built a component at a time and a
+    # hand-passed one's by step_images; at s = 3 the two must still agree.
+    # Random mappings mostly need more than two steps, so half the inputs
+    # are a random assignment to component 1 followed by one to component 2
+    rng = SplitMix64(31)
+    a = Alphabet(3, 2)
+    universe = full_universe(a)
+    half = len(universe) // 2  # the assignments to component 1 come first
+    inputs = [random_mapping(a, rng) for _ in range(2)]
+    for _ in range(2):
+        first, second = universe[rng.below(half)], universe[half + rng.below(half)]
+        images = step_images(assignment_table(first, a), first.target, a)
+        step = step_images(assignment_table(second, a), second.target, a)
+        inputs.append(Mapping(a, tuple(step[v] for v in images)))
+    verdicts = [min_length_bfs(e, 2) for e in inputs]
+    assert verdicts == [min_length_bfs(e, 2, universe=universe) for e in inputs]
+    assert None in verdicts and 2 in verdicts
 
 
 def test_budget_counts_stored_states():
