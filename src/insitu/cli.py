@@ -267,10 +267,7 @@ def main(argv: list[str] | None = None) -> int:
     except InSituError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    except (ValueError, OverflowError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
+    except (ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:  # a bug, not a verdict: keep it off the mismatch code

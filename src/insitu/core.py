@@ -23,10 +23,10 @@ size pays.  CPython keeps the ints up to 256 as shared objects, so past
 new int; the kernels instead pick and add existing ints with
 `operator.itemgetter` and `map(operator.add, ...)`.  `step_images` keeps
 a comprehension up to 256 indices: the suite traces programs at 8 and 9
-indices and the oracle at 4 to 8, and with the builtin form there the
-benchmark's seven suite calls took 10% longer (median of 12 alternating
-runs, Python 3.11).  The coefficient tables of `assignment_table`,
-`_add_place_values` and `_digit_runs` have one form at every size.
+indices, and with the builtin form there the benchmark's seven suite
+calls took 10% longer (median of 12 alternating runs, Python 3.11).
+The coefficient tables of `assignment_table`, `_add_place_values` and
+`_digit_runs` have one form at every size.
 
 `execute_all` (so `minsim.verify`) and `_linear_images` (so
 `linmod.linear_mapping`) are the other fork: past 256 indices and for
@@ -210,13 +210,11 @@ def step_images(tab: Sequence[int], target: int, alphabet: Alphabet) -> list[int
     """Where one step sends every index: component `target` of index v
     becomes tab[v], the other components stay.  This is the exchange
     between two stages of the network of a signature; a trace up to 256
-    indices, or at s > 128, composes these lists.  The BFS oracle calls it
-    only for a hand-passed universe: it builds the full universe's steps
-    a component at a time.
+    indices, or at s > 128, composes these lists.
 
     Its form forks by size.  Up to 256 indices CPython's cached small
-    ints make the comprehension the faster form, and the suite and oracle
-    trace there: forcing the builtin form made a run of the suite's
+    ints make the comprehension the faster form, and the suite traces
+    there: forcing the builtin form made a run of the suite's
     benchmark calls 10% slower.  Past that the comprehension makes several
     new ints per entry, so there the image is the index with digit
     `target` zeroed, each value made once and placed s times, plus

@@ -4,11 +4,9 @@
 breadth-first search over compositions of single assignments, so compiler
 output lengths can be checked against the true optimum on small spaces.
 It codes a state in one byte per index, so it composes a step with one
-`bytes.translate` and takes at most 256 indices.  In the default (full)
-universe it builds each component's step tables at once, as the
-`itertools.product` of the values each index can take; only a
-hand-passed universe's tables go through `core.step_images`, one call
-per assignment.
+`bytes.translate` and takes at most 256 indices.  It reads a universe
+as the set of tables of each component, None where that holds every
+table, and builds the steps of both kinds with one builder.
 `method_signature` spells each method's signature, which is the stage
 network its programs route through and fixes their length.
 `exhaustive_suite` runs a compiler over every input (or a seeded sample)
@@ -36,10 +34,10 @@ from .core import (
     InSituProgram,
     Mapping,
     _MAX_INDEX_BITS,
+    _add_place_values,
     _digit_runs,
     _unchecked,
     assignment_table,
-    step_images,
 )
 from .rng import SplitMix64, random_bijection, random_mapping, random_matrix
 
@@ -95,12 +93,10 @@ def min_length_bfs(
     more than max_states stored states raise BudgetExceeded.  A negative
     max_len or max_states is a ValueError.
 
-    The step tables are built once, when a level is first expanded.  In
-    the default universe component i's tables are the products of the
-    lanes rest_i[v] + s^(i-1) * d, d < s, where rest_i is the index with
-    digit i zeroed: one `itertools.product` per component, in the
-    universe's order.  A hand-passed universe's tables are arbitrary, so
-    each goes through `assignment_table` and `step_images`.
+    The universe is read once into the set of tables of each component,
+    None where it holds all s^size of them, as the default universe does
+    everywhere; `_transitions` builds the step tables from those sets
+    when a level is first expanded.
     """
     if max_len < 0 or max_states < 0:
         raise ValueError(f"max_len and max_states must not be negative, "
@@ -114,24 +110,23 @@ def min_length_bfs(
     if size > _BYTE_LANES:
         raise BudgetExceeded(f"{s}^{a.n} indices; the oracle codes a state in one byte "
                              f"per index, so it takes at most {_BYTE_LANES}")
-    if universe is not None:
-        steps = [(assignment_table(asg, a), asg.target) for asg in universe]
-        # i's tables, or None where the universe holds all s^size of them:
-        # then any function of the state's values is a table for i
-        scans: dict[int, list[Sequence[int]] | None] = {}
-        for tab, i in steps:
-            scans.setdefault(i, []).append(tab)
-        for i, tabs in scans.items():
-            if len(set(map(tuple, tabs))) == s ** size:
-                scans[i] = None
+    # i's tables, or None where the universe holds all s^size of them:
+    # then any function of the state's values is a table for i
+    if universe is None:
+        tables = dict.fromkeys(range(1, a.n + 1))
     else:
-        scans = dict.fromkeys(range(1, a.n + 1))
+        tables = {}
+        for asg in universe:
+            tables.setdefault(asg.target, set()).add(tuple(assignment_table(asg, a)))
+        for i, tabs in tables.items():
+            if len(tabs) == s ** size:
+                tables[i] = None
     pad = bytes(_BYTE_LANES - size)  # a translate table has 256 entries
     target = bytes(e.images)
     # for each component i that the universe writes: the table that zeroes
     # digit i, the target so zeroed, its digit i, and i's tables to scan
     checks = []
-    for i, tabs in scans.items():
+    for i, tabs in tables.items():
         pw = s ** (i - 1)
         rest = bytes(_digit_runs(pw, s, size, pw * s)) + pad
         checks.append((rest, target.translate(rest), bytes(t // pw % s for t in target), tabs))
@@ -161,8 +156,7 @@ def min_length_bfs(
         if depth == max_len:
             return None
         if not trans:
-            trans = (_full_transitions(a, pad) if universe is None
-                     else [bytes(step_images(tab, i, a)) + pad for tab, i in steps])
+            trans = _transitions(a, tables, pad)
         nxt = []
         for state in frontier:
             new = set(map(state.translate, trans))
@@ -177,22 +171,26 @@ def min_length_bfs(
     return None
 
 
-def _full_transitions(alphabet: Alphabet, pad: bytes) -> list[bytes]:
-    # the translate tables of the full universe, in its order: the step
-    # "component i := tab" sends index v to rest_i[v] + pw * tab[v], with
-    # rest_i the index with digit i zeroed and pw = s^(i-1), and the
-    # universe holds every tab, so i's tables are the products of the
-    # lanes range(rest_i[v], rest_i[v] + s * pw, pw), built in C
+def _transitions(alphabet: Alphabet, tables: dict[int, set[tuple[int, ...]] | None],
+                 pad: bytes) -> list[bytes]:
+    # the translate tables of the steps: "component i := tab" sends index v
+    # to rest_i[v] + pw * tab[v], with rest_i the index with digit i zeroed
+    # and pw = s^(i-1).  A None component takes every tab, in the full
+    # universe's order, as the products of the lanes rest_i[v] + pw * d
     s, size = alphabet.s, alphabet.size
     trans = []
-    for i in range(1, alphabet.n + 1):
+    for i, tabs in tables.items():
         pw = s ** (i - 1)
-        lanes = [range(r, r + s * pw, pw) for r in _digit_runs(pw, s, size, pw * s)]
-        trans += [bytes(t) + pad for t in itertools.product(*lanes)]
+        rest = _digit_runs(pw, s, size, pw * s)
+        if tabs is None:
+            images = itertools.product(*[range(r, r + s * pw, pw) for r in rest])
+        else:
+            images = (_add_place_values(rest, tab, pw, s) for tab in tabs)
+        trans += [bytes(t) + pad for t in images]
     return trans
 
 
-def _reaches(state: bytes, digit: bytes, tabs: list[Sequence[int]] | None) -> bool:
+def _reaches(state: bytes, digit: bytes, tabs: set[tuple[int, ...]] | None) -> bool:
     # for a state that agrees with the target off component i: whether the
     # values it holds give digit i of the target through a table in tabs,
     # where None stands for every table

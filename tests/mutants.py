@@ -5,10 +5,12 @@ the text that replaces it, and the test IDs that must fail after the
 edit.  For each row the script copies `src`, `tests` and `pyproject.toml`
 into a temporary directory, so that the ini's `pythonpath = ["src"]`
 points at the copy, applies the edit, checks that `insitu` imports from
-the copy, and runs each named test there with `-x` under a timeout; a
-timeout counts as caught.  Before the rows, every named test must pass
-on an unedited copy, so a test that fails anyway cannot stand for a
-catch.  The script never edits a test.
+the copy, and runs each named test there with `-x` under a timeout and
+a cap on its address space; a timeout counts as caught, and so does a
+test that fails with MemoryError at the cap instead of exhausting the
+host's memory.  Before the rows, every named test must pass on an
+unedited copy under the same cap, so a test that fails anyway cannot
+stand for a catch.  The script never edits a test.
 
 It exits 1 if a mutant survives, and 2 if the table cannot run: a row's
 old text does not occur exactly once, a named test does not pass
@@ -21,6 +23,7 @@ no row.  Needs the standard library and pytest:
 """
 
 import os
+import resource
 import shutil
 import subprocess
 import sys
@@ -28,6 +31,7 @@ import tempfile
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 TIMEOUT_S = 60
+MEMORY_CAP = 4 << 30  # bytes of address space for each child process
 
 # (what the edit breaks, file, old text, new text, tests that must fail)
 MUTANTS = [
@@ -56,18 +60,24 @@ MUTANTS = [
     # holds every one of them, which the linear universe never does
     ("min_length_bfs takes every universe to hold every table",
      "src/insitu/oracle.py",
-     "            if len(set(map(tuple, tabs))) == s ** size:",
+     "            if len(tabs) == s ** size:",
      "            if True:",
      ["tests/test_oracle_reference.py::test_all_boolean_mappings_at_n2_linear_universe"]),
-    # the full universe's tables are built by lanes of place value s^(i-1);
-    # at s = 2 a unit stride breaks only components i >= 2.  The lanes keep
-    # their s values: longer ones would multiply the product's size
+    # a step adds tab[v] at place value s^(i-1), which is 1 for component 1,
+    # so each form of the builder breaks only components i >= 2.  The lanes
+    # keep their s values: longer ones would multiply the product's size
     ("the full universe's lanes step by 1, not by the place value",
      "src/insitu/oracle.py",
-     "        lanes = [range(r, r + s * pw, pw) for r in _digit_runs(pw, s, size, pw * s)]",
-     "        lanes = [range(r, r + s) for r in _digit_runs(pw, s, size, pw * s)]",
+     "            images = itertools.product(*[range(r, r + s * pw, pw) for r in rest])",
+     "            images = itertools.product(*[range(r, r + s) for r in rest])",
      ["tests/test_oracle_reference.py::test_full_transitions_match_step_images[2-2]",
       "tests/test_oracle_reference.py::test_full_transitions_match_step_images[3-2]"]),
+    ("a listed table's values are added at place value 1",
+     "src/insitu/oracle.py",
+     "            images = (_add_place_values(rest, tab, pw, s) for tab in tabs)",
+     "            images = (_add_place_values(rest, tab, 1, s) for tab in tabs)",
+     ["tests/test_oracle_reference.py::test_listed_transitions_match_step_images[2-2]",
+      "tests/test_oracle_reference.py::test_all_boolean_mappings_at_n2_linear_universe"]),
     # oracle.method_signature is the one spelling of each method's shape
     ("general5's reversed butterfly keeps its first stage at the junction",
      "src/insitu/oracle.py",
@@ -273,10 +283,16 @@ def _copy(dest):
     shutil.copy(os.path.join(REPO, "pyproject.toml"), dest)
 
 
+def _cap_memory():
+    # a mutant that inflates an allocation meets MemoryError, not the OOM killer
+    resource.setrlimit(resource.RLIMIT_AS, (MEMORY_CAP, MEMORY_CAP))
+
+
 def _run(copy, args, timeout=None):
     env = dict(os.environ, PYTHONPATH=os.path.join(copy, "src"))
     return subprocess.run([sys.executable, *args], cwd=copy, env=env,
-                          capture_output=True, text=True, timeout=timeout)
+                          capture_output=True, text=True, timeout=timeout,
+                          preexec_fn=_cap_memory)
 
 
 def _pytest(copy, test_ids):
@@ -315,7 +331,8 @@ def main():
             _abort(f"the named tests take over {TIMEOUT_S} s on the unedited copy")
         if base.returncode != 0:
             print(base.stdout[-3000:])
-            _abort("a named test does not pass on the unedited copy")
+            _abort(f"a named test does not pass on the unedited copy under the "
+                   f"{MEMORY_CAP >> 30} GiB address-space cap")
     survived = 0
     for what, path, old, new, tests in MUTANTS:
         with tempfile.TemporaryDirectory() as copy:

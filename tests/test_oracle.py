@@ -9,6 +9,7 @@ from insitu import (
     InSituProgram,
     Mapping,
     component_permutation,
+    core,
     linmod,
     oracle,
     permutation_length_bound,
@@ -24,8 +25,8 @@ from insitu.oracle import (
     method_signature,
     min_length_bfs,
 )
-from insitu.rng import SplitMix64, random_bijection, random_mapping, random_matrix
-from test_oracle_reference import _linear_universe, _reference_bfs
+from insitu.rng import SplitMix64, random_matrix
+from test_oracle_reference import _linear_universe
 
 
 def test_universe_sizes():
@@ -51,24 +52,22 @@ def test_swap_needs_three_steps():
 
 
 def test_transitions_are_built_only_to_expand(monkeypatch):
-    calls = {"_full_transitions": [], "step_images": []}
-    for name, got in calls.items():
-        real = getattr(oracle, name)
-        monkeypatch.setattr(oracle, name,
-                            lambda *args, got=got, real=real: got.append(args) or real(*args))
+    built = []
+    real = oracle._transitions
+    monkeypatch.setattr(oracle, "_transitions", lambda *args: built.append(args) or real(*args))
+    # the oracle builds every step itself and never through step_images
+    assert not hasattr(oracle, "step_images")
+    monkeypatch.setattr(core, "step_images", lambda *args: pytest.fail("step_images called"))
     a = Alphabet(2, 2)
     assert min_length_bfs(Mapping(a, (1, 0, 3, 2)), 3) == 1  # x_1 := 1 - x_1
     assert min_length_bfs(component_permutation((2, 1), a), 1) is None
-    assert calls == {"_full_transitions": [], "step_images": []}
-    # two levels expanded, the full universe's tables built once
+    assert built == []
+    # two levels expanded, the steps built once, for the default universe
+    # and for the same universe passed by hand
     assert min_length_bfs(component_permutation((2, 1), a), 5) == 3
-    assert len(calls["_full_transitions"]) == 1
-    assert calls["step_images"] == []
-    # a hand-passed universe builds one transition list per assignment
-    universe = full_universe(a)
-    assert min_length_bfs(component_permutation((2, 1), a), 5, universe=universe) == 3
-    assert len(calls["_full_transitions"]) == 1
-    assert len(calls["step_images"]) == len(universe)
+    assert len(built) == 1
+    assert min_length_bfs(component_permutation((2, 1), a), 5, universe=full_universe(a)) == 3
+    assert len(built) == 2
 
 
 @pytest.mark.parametrize("s", [2, 3])
@@ -133,28 +132,11 @@ def test_unreachable_returns_none():
     assert min_length_bfs(e, 4, universe=_linear_universe(a)) is None
 
 
-def test_default_universe_matches_the_reference():
-    # with no universe the search builds the full universe's steps a
-    # component at a time and builds no assignment; the command line takes
-    # that path, so it must agree with the explicit full universe and the
-    # reference
-    a = Alphabet(2, 2)
-    inputs = [(Mapping(a, images), 8) for images in itertools.product(range(4), repeat=4)]
-    rng = SplitMix64(29)
-    a = Alphabet(2, 3)
-    inputs += [(draw(a, rng), 2) for draw in (random_mapping, random_bijection) for _ in range(4)]
-    for e, max_len in inputs:
-        universe = full_universe(e.alphabet)
-        expected = _reference_bfs(e, max_len, universe=universe)
-        assert min_length_bfs(e, max_len) == expected, e.images
-        assert min_length_bfs(e, max_len, universe=universe) == expected, e.images
-
-
 def test_more_than_256_indices_are_refused_before_any_state(monkeypatch):
     # a state is one byte per index; only a hand-passed universe gets past
     # the full universe's cap to 2^9 indices, and no table or state is built
     calls = []
-    for name in ("assignment_table", "step_images"):
+    for name in ("assignment_table", "_transitions"):
         monkeypatch.setattr(oracle, name, lambda *args: calls.append(args))
     a = Alphabet(2, 9)
     universe = [Assignment(1, table=tuple(v % 2 for v in range(a.size)))]

@@ -17,7 +17,7 @@ import pytest
 import census
 from insitu.core import Alphabet, Assignment, Mapping, assignment_table, component_permutation, step_images
 from insitu.linmod import MatrixMod, ModRing, linear_mapping
-from insitu.oracle import BudgetExceeded, _full_steps, _full_transitions, full_universe, min_length_bfs
+from insitu.oracle import BudgetExceeded, _full_steps, _transitions, full_universe, min_length_bfs
 from insitu.rng import SplitMix64, random_bijection, random_mapping
 
 
@@ -67,6 +67,11 @@ def _assert_same_verdicts(inputs, max_len, universe_of):
         universe = universe_of(e.alphabet)
         expected = _reference_bfs(e, max_len, universe=universe)
         assert min_length_bfs(e, max_len, universe=universe) == expected, e.images
+        if universe_of is full_universe:
+            # the default universe is the full one, and listing an
+            # assignment twice adds no step
+            assert min_length_bfs(e, max_len) == expected, e.images
+            assert min_length_bfs(e, max_len, universe=universe * 2) == expected, e.images
         verdicts.append(expected)
     return verdicts
 
@@ -107,32 +112,45 @@ def test_seeded_boolean_mappings_at_n3_full_universe():
 
 
 # every alphabet whose full universe fits the cap, which _full_steps checks
-@pytest.mark.parametrize("s, n", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (4, 1), (5, 1), (6, 1)])
+UNDER_THE_CAP = [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (4, 1), (5, 1), (6, 1)]
+
+
+@pytest.mark.parametrize("s, n", UNDER_THE_CAP)
 def test_full_transitions_match_step_images(s, n):
+    # a component that holds every table is built as lanes, in the full
+    # universe's order
     a = Alphabet(s, n)
     pad = bytes(256 - a.size)
     reference = [bytes(step_images(tab, i, a)) + pad for tab, i in _full_steps(a)]
-    assert _full_transitions(a, pad) == reference
+    assert _transitions(a, dict.fromkeys(range(1, n + 1)), pad) == reference
 
 
-def test_default_universe_matches_the_explicit_one_at_3_2():
-    # the default universe's steps are built a component at a time and a
-    # hand-passed one's by step_images; at s = 3 the two must still agree.
-    # Random mappings mostly need more than two steps, so half the inputs
-    # are a random assignment to component 1 followed by one to component 2
-    rng = SplitMix64(31)
-    a = Alphabet(3, 2)
-    universe = full_universe(a)
-    half = len(universe) // 2  # the assignments to component 1 come first
-    inputs = [random_mapping(a, rng) for _ in range(2)]
-    for _ in range(2):
-        first, second = universe[rng.below(half)], universe[half + rng.below(half)]
-        images = step_images(assignment_table(first, a), first.target, a)
-        step = step_images(assignment_table(second, a), second.target, a)
-        inputs.append(Mapping(a, tuple(step[v] for v in images)))
-    verdicts = [min_length_bfs(e, 2) for e in inputs]
-    assert verdicts == [min_length_bfs(e, 2, universe=universe) for e in inputs]
-    assert None in verdicts and 2 in verdicts
+@pytest.mark.parametrize("s, n", UNDER_THE_CAP)
+def test_listed_transitions_match_step_images(s, n):
+    # a component's listed tables are built one at a time, in set order
+    a = Alphabet(s, n)
+    pad = bytes(256 - a.size)
+    tables = {}
+    reference = set()
+    for asg in _linear_universe(a):
+        tab = assignment_table(asg, a)
+        tables.setdefault(asg.target, set()).add(tab)
+        reference.add(bytes(step_images(tab, asg.target, a)) + pad)
+    built = _transitions(a, tables, pad)
+    assert len(built) == sum(map(len, tables.values()))
+    assert set(built) == reference
+
+
+def test_a_universe_missing_one_table_matches_the_reference():
+    # component 2 keeps 15 of its 16 tables, so the one-step test scans them
+    # and the expansion builds them one at a time
+    a = Alphabet(2, 2)
+    dropped = Assignment(2, table=(0, 1, 1, 0))  # x_2 := x_1 xor x_2
+    universe = [asg for asg in full_universe(a) if asg != dropped]
+    assert len(universe) == len(full_universe(a)) - 1
+    verdicts = _assert_same_verdicts(_all_mappings(a), 8, lambda a: universe)
+    # lengths 0 to 3 count 1, 30, 173 and 52 mappings in the full universe
+    assert [verdicts.count(k) for k in range(4)] == [1, 29, 160, 66]
 
 
 def test_budget_counts_stored_states():
@@ -144,6 +162,8 @@ def test_budget_counts_stored_states():
     # level 2 and stores nothing past it
     with pytest.raises(BudgetExceeded):
         _reference_bfs(swap, 3, max_states=budget)
-    assert min_length_bfs(swap, 3, max_states=budget) == 3
-    with pytest.raises(BudgetExceeded):
-        min_length_bfs(swap, 3, max_states=budget - 1)
+    # a level's stored set is the same however often its steps are listed
+    for universe in (None, full_universe(a) * 2):
+        assert min_length_bfs(swap, 3, universe=universe, max_states=budget) == 3
+        with pytest.raises(BudgetExceeded):
+            min_length_bfs(swap, 3, universe=universe, max_states=budget - 1)
