@@ -15,10 +15,17 @@ Colorings come from Euler partitions (Gabow 1976).  Pairing the edges at
 every vertex of a d-regular graph, d even, closes them into alternating
 cycles; alternate edges around each cycle form two (d/2)-regular halves,
 which split again down to degree 2, whose cycles alternate two colors.
-s = 2 is that degree-2 base case, with no walk of its own.  An odd
-degree d > 1 first takes one perfect matching, found by Kuhn's
+An odd degree d > 1 first takes one perfect matching, found by Kuhn's
 augmenting-path search, as a color of its own.  So s = 2^k needs no
 matching, and s = 3, 5, 6, 7 need 1, 1, 2, 3 per level.
+
+At s = 2 a level graph is 2-regular and both pairings are forced, as in
+the looping algorithm: at its left end edge p meets p ^ pw, where pw is
+the place value of component k, and at its right end the edge whose
+target differs from p's in that bit alone.  `route_bijection` finds both
+by index arithmetic on the targets and their inverse, which it carries
+from level to level, builds no graph, and hands them to the same cycle
+walk, so its colors are those of the Euler partition.
 
 Regularity is checked where a graph enters, in `edge_color`, which
 refuses an irregular graph as a malformed argument (`ValueError`); the
@@ -199,6 +206,47 @@ def _perfect_matching(left, right, order, adj_left) -> list[int]:
     return match_right
 
 
+def _xor_partners(ids, pw) -> list[int]:
+    # p ^ pw for every p in ids = range(size): each block of 2 * pw ids
+    # with its halves swapped, cut from ids so that no int is made.  The
+    # loop runs over the offsets in a block or over the blocks, whichever
+    # is shorter, as in core._digit_runs
+    size = len(ids)
+    span = 2 * pw
+    if pw * span < size:
+        out = [0] * size
+        for lo in range(pw):
+            out[lo::span] = ids[lo + pw::span]
+            out[lo + pw::span] = ids[lo::span]
+        return out
+    out = []
+    for start in range(0, size, span):
+        out += ids[start + pw:start + span]
+        out += ids[start:start + pw]
+    return out
+
+
+def _boolean_level(k, pw, targets, inverse, ids, a):
+    # level k at s = 2, with both pairings forced: edge p meets p ^ pw at
+    # its left end and inverse[targets[p] ^ pw] at its right end, and the
+    # walk colors the cycles as _euler_partition would.  Two involutions
+    # finish the level: `moved` (M) sets bit k of each position to its
+    # color, and `routed` (R) sets bit k of each target to the color of the
+    # edge that ends there.  As R is its own inverse, the down table
+    # back[R(t)] = bit k of t is back[u] = colors[inverse[u]]; the next
+    # targets are R . targets . M, and their inverse is M . inverse . R
+    left = _xor_partners(ids, pw)
+    right = itemgetter(*itemgetter(*targets)(left))(inverse)
+    colors = [-1] * a.size
+    _euler_two_color(left, right, colors)
+    back = itemgetter(*inverse)(colors)
+    moved = step_images(colors, k, a)
+    routed = step_images(back, k, a)
+    targets = itemgetter(*moved)(itemgetter(*targets)(routed))
+    inverse = itemgetter(*itemgetter(*routed)(inverse))(moved)
+    return colors, back, targets, inverse
+
+
 def route_bijection(e: Mapping) -> InSituProgram:
     """Program of length 2n - 1, signature 1..n..1, computing the bijection e.
 
@@ -210,28 +258,35 @@ def route_bijection(e: Mapping) -> InSituProgram:
     a = e.alphabet
     s = a.s
     # targets[p]: where the input now at position p must go; it agrees
-    # with p on every component already routed
-    targets = list(e.images)
+    # with p on every component already routed.  At s = 2, inverse[t] is
+    # the position whose target is t, and ids lends each level its ints
+    targets = e.images
+    if s == 2:
+        inverse = e.inverse().images
+        ids = list(range(a.size))
     up: list[Assignment] = []
     down: list[Assignment] = []
     for k in range(1, a.n):
         pw = s ** (k - 1)
-        # one edge per position p, both ends with component k removed; the
-        # graph is s-regular because targets is a permutation
-        colors = [-1] * a.size
-        left = _digit_runs(pw, s, a.size, pw)
-        _euler_partition(s, a.size // s, left, itemgetter(*targets)(left), colors)
-        moved = step_images(colors, k, a)
-        back = [0] * a.size
-        nxt = [0] * a.size
-        for p, t in enumerate(targets):
-            digit = t // pw % s
-            t += (colors[p] - digit) * pw
-            back[t] = digit
-            nxt[moved[p]] = t
+        if s == 2:
+            colors, back, targets, inverse = _boolean_level(k, pw, targets, inverse, ids, a)
+        else:
+            # one edge per position p, both ends with component k removed; the
+            # graph is s-regular because targets is a permutation
+            colors = [-1] * a.size
+            left = _digit_runs(pw, s, a.size, pw)
+            _euler_partition(s, a.size // s, left, itemgetter(*targets)(left), colors)
+            moved = step_images(colors, k, a)
+            back = [0] * a.size
+            nxt = [0] * a.size
+            for p, t in enumerate(targets):
+                digit = t // pw % s
+                t += (colors[p] - digit) * pw
+                back[t] = digit
+                nxt[moved[p]] = t
+            targets = nxt
         up.append(Assignment(k, table=tuple(colors)))
         down.append(Assignment(k, table=tuple(back)))
-        targets = nxt
     top = s ** (a.n - 1)
     middle = Assignment(a.n, table=tuple(t // top for t in targets))
     return _unchecked(InSituProgram, a, (*up, middle, *reversed(down)))

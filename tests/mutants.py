@@ -78,6 +78,32 @@ MUTANTS = [
      "            images = (_add_place_values(rest, tab, 1, s) for tab in tabs)",
      ["tests/test_oracle_reference.py::test_listed_transitions_match_step_images[2-2]",
       "tests/test_oracle_reference.py::test_all_boolean_mappings_at_n2_linear_universe"]),
+    # the boolean routing level finds by index arithmetic what the Euler
+    # partition finds by scanning, so the referee is a route colored by the
+    # scanning reference.  A wrong pairing leaves later levels a
+    # non-permutation to walk, which may never close, so the rows name
+    # tests that fail at the first level or at 2^3
+    ("the boolean level's right partner skips the inverse of the targets",
+     "src/insitu/benes.py",
+     "    right = itemgetter(*itemgetter(*targets)(left))(inverse)",
+     "    right = itemgetter(*targets)(left)",
+     ["tests/test_coloring_reference.py::test_boolean_routes_match_reference_on_every_bijection[2]",
+      "tests/test_benes.py::test_level_graphs_are_regular"]),
+    ("the boolean level's down table is its up table",
+     "src/insitu/benes.py",
+     "    back = itemgetter(*inverse)(colors)",
+     "    back = colors",
+     ["tests/test_coloring_reference.py::test_boolean_routes_match_reference_on_every_bijection[2]",
+      "tests/test_benes.py::test_route_all_boolean_pairs",
+      "tests/test_pinned_outputs.py::test_compiled_text_is_pinned"
+      "[bijection-2-12-benes-b3bc7c48ed9ea80d329bd556c340e822d833dcad7b1564655201f9f44b8912dd]"]),
+    ("the inverse of the targets is not carried to the next level",
+     "src/insitu/benes.py",
+     "colors, back, targets, inverse = _boolean_level(k, pw, targets, inverse, ids, a)",
+     "colors, back, targets, _ = _boolean_level(k, pw, targets, inverse, ids, a)",
+     ["tests/test_coloring_reference.py::test_boolean_routes_match_reference_on_every_bijection[3]",
+      "tests/test_benes.py::test_route_random[2-3-11-200]",
+      "tests/test_benes.py::test_level_graphs_are_regular"]),
     # oracle.method_signature is the one spelling of each method's shape
     ("general5's reversed butterfly keeps its first stage at the junction",
      "src/insitu/oracle.py",

@@ -130,18 +130,47 @@ def test_matchings_per_level_graph(monkeypatch, s, calls):
 def test_level_graphs_are_regular(monkeypatch):
     # the compilers hand their level graphs to the colorer unchecked, which
     # terminates only on regular graphs; each level graph is s-regular
-    # because the routed targets stay a permutation
+    # because the routed targets stay a permutation.  At s = 2 the level
+    # builds no graph and hands the walk its two pairings, which must pair
+    # the two edges at every vertex of that graph
     seen = []
     color = benes._euler_partition
+    walk = benes._euler_two_color
+    level = benes._boolean_level
+    graph = []
 
-    def checked(s, order, left, right, colors):
+    def regular(s, order, left, right):
         assert len(left) == len(right) == s * order
         for ends in (left, right):
             assert sorted(Counter(ends).items()) == [(v, s) for v in range(order)]
+
+    def checked(s, order, left, right, colors):
+        regular(s, order, left, right)
         seen.append(s)
         color(s, order, left, right, colors)
 
+    def recorded(k, pw, targets, inverse, ids, a):
+        # the level graph: edge p joins p and targets[p], bit k dropped
+        drop = [v % pw + v // (2 * pw) * pw for v in range(a.size)]
+        graph[:] = [drop, [drop[t] for t in targets]]
+        regular(2, a.size // 2, *graph)
+        try:
+            return level(k, pw, targets, inverse, ids, a)
+        finally:
+            graph.clear()
+
+    def paired(partner_left, partner_right, colors):
+        if graph:  # from the boolean level, not from an Euler partition
+            for partner, ends in zip((partner_left, partner_right), graph):
+                assert len(partner) == len(ends)
+                for p, q in enumerate(partner):
+                    assert q != p and partner[q] == p and ends[q] == ends[p]
+            seen.append(2)
+        walk(partner_left, partner_right, colors)
+
     monkeypatch.setattr(benes, "_euler_partition", checked)
+    monkeypatch.setattr(benes, "_boolean_level", recorded)
+    monkeypatch.setattr(benes, "_euler_two_color", paired)
     for s in range(2, 8):
         a = Alphabet(s, 3)
         rng = SplitMix64(60 + s)

@@ -2,12 +2,18 @@
 form: full adjacency lists, a 2-coloring walk of its own for s = 2, and
 edge pairs stored as tuples.  Both pair the edges at every vertex in id
 order and start every cycle at its smallest edge id, so they must give
-the same colors, not just proper ones."""
+the same colors, not just proper ones.
 
-from itertools import compress
+The boolean routing level, which finds its pairings by index arithmetic
+and never builds a level graph, is held to a route whose levels are
+built as graphs, one edge per position, and colored by the reference."""
 
-from insitu import Alphabet, benes
-from insitu.benes import SuffixGraph, edge_color, suffix_graph
+from itertools import compress, permutations
+
+import pytest
+
+from insitu import Alphabet, Mapping, benes
+from insitu.benes import SuffixGraph, edge_color, route_bijection, route_bijection_reversed, suffix_graph
 from insitu.rng import SplitMix64, random_bijection
 
 
@@ -125,3 +131,69 @@ def test_edge_color_matches_reference():
         assert edge_color(g) == want, (g.s, g.order, count)
         count += 1
     assert count >= 2000
+
+
+def _reference_route(e):
+    # route_bijection with every level built as a graph, component k
+    # dropped from both ends of each edge p -> targets[p], and colored by
+    # the reference; each input's color becomes
+    # component k of its position, and its target's component k goes to
+    # the down table at the target with that component set to the color.
+    # A step is (target, table)
+    a = e.alphabet
+    s, size = a.s, a.size
+    targets = list(e.images)
+    up, down = [], []
+    for k in range(1, a.n):
+        pw = s ** (k - 1)
+        drop = [v % pw + v // (s * pw) * pw for v in range(size)]
+        colors = _reference_color(s, size // s, drop, [drop[t] for t in targets])
+        back, nxt = [0] * size, [0] * size
+        for p, (t, c) in enumerate(zip(targets, colors)):
+            routed = t + (c - t // pw % s) * pw
+            back[routed] = t // pw % s
+            nxt[p + (c - p // pw % s) * pw] = routed
+        up.append((k, colors))
+        down.append((k, tuple(back)))
+        targets = nxt
+    middle = (a.n, tuple(t // s ** (a.n - 1) for t in targets))
+    return [*up, middle, *reversed(down)]
+
+
+def _reference_route_reversed(e, rev):
+    # the mirrored signature: route the bijection conjugated by rev, the
+    # reversal of the components, then mirror each step back
+    a = e.alphabet
+    conj = Mapping(a, tuple(rev[e.images[r]] for r in rev))
+    return [(a.n + 1 - k, tuple(table[r] for r in rev)) for k, table in _reference_route(conj)]
+
+
+def _reversal(a):
+    return [sum(v // a.s ** i % a.s * a.s ** (a.n - 1 - i) for i in range(a.n)) for v in range(a.size)]
+
+
+def _assert_routes_match(e, rev):
+    # equal steps make equal program text, byte for byte
+    for route, want in ((route_bijection, _reference_route(e)),
+                        (route_bijection_reversed, _reference_route_reversed(e, rev))):
+        assert [(step.target, step.table) for step in route(e).assignments] == want
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_boolean_routes_match_reference_on_every_bijection(n):
+    a = Alphabet(2, n)
+    rev = _reversal(a)
+    count = 0
+    for images in permutations(range(a.size)):
+        _assert_routes_match(Mapping(a, images), rev)
+        count += 1
+    assert count == (24, 40320)[n - 2]
+
+
+@pytest.mark.parametrize("n", range(4, 13))
+def test_boolean_routes_match_reference_on_seeded_bijections(n):
+    a = Alphabet(2, n)
+    rev = _reversal(a)
+    rng = SplitMix64(3000 + n)
+    for _ in range(2 ** (12 - n)):
+        _assert_routes_match(random_bijection(a, rng), rev)

@@ -32,6 +32,12 @@ PINS = [
      "dd6851782a0f18c1580dae110ee59f76294b03694e8a52f761814c9d9ce6a501"),
     ("bijection", 2, 6, "general4-sorted",
      "31f82d0b97d659e53d5fba30dd87ec44a300dadd026927c2e539241195823eb5"),
+    # a size the benchmark routes at, past the 256 indices where
+    # step_images changes form
+    ("bijection", 2, 12, "benes",
+     "b3bc7c48ed9ea80d329bd556c340e822d833dcad7b1564655201f9f44b8912dd"),
+    ("bijection", 2, 12, "benes-reversed",
+     "e5f410a214d240283e51506c096f39be8ea0bab00637cf05d71c53f10348e800"),
     ("bijection", 3, 4, "benes",
      "8fb789625b4a6f8d9758282461f379e981db485a5c60a1bc51105c700e7cb59c"),
     ("bijection", 3, 4, "benes-reversed",
