@@ -45,6 +45,7 @@ from .core import (
     Mapping,
     NotBijective,
     _digit_runs,
+    _table_type,
     _unchecked,
     component_permutation,
     step_images,
@@ -264,6 +265,7 @@ def route_bijection(e: Mapping) -> InSituProgram:
     if s == 2:
         inverse = e.inverse().images
         ids = list(range(a.size))
+    form = _table_type(a)
     up: list[Assignment] = []
     down: list[Assignment] = []
     for k in range(1, a.n):
@@ -285,10 +287,10 @@ def route_bijection(e: Mapping) -> InSituProgram:
                 back[t] = digit
                 nxt[moved[p]] = t
             targets = nxt
-        up.append(Assignment(k, table=tuple(colors)))
-        down.append(Assignment(k, table=tuple(back)))
+        up.append(Assignment(k, table=form(colors)))
+        down.append(Assignment(k, table=form(back)))
     top = s ** (a.n - 1)
-    middle = Assignment(a.n, table=tuple(t // top for t in targets))
+    middle = Assignment(a.n, table=form([t // top for t in targets]))
     return _unchecked(InSituProgram, a, (*up, middle, *reversed(down)))
 
 
@@ -304,6 +306,7 @@ def route_bijection_reversed(e: Mapping) -> InSituProgram:
     reverse = itemgetter(*rev)  # a tuple, since size >= 2
     conj = _unchecked(Mapping, a, itemgetter(*reverse(e.images))(rev))
     prog = route_bijection(conj)
-    steps = tuple(Assignment(a.n + 1 - asg.target, table=reverse(asg.table))
+    form = _table_type(a)
+    steps = tuple(Assignment(a.n + 1 - asg.target, table=form(reverse(asg.table)))
                   for asg in prog.assignments)
     return _unchecked(InSituProgram, a, steps)

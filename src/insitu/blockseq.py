@@ -28,7 +28,7 @@ from .core import (
     execute_all,
     merge_adjacent,
 )
-from .factor import _sweep_program, factor_by_classes, preimage_classes
+from .factor import _factor, _sweep_program, preimage_classes
 
 
 def _log2_exact(count: int) -> int:
@@ -199,7 +199,7 @@ def compile_general4_flexible(
             if have != v:
                 raise ValueError("run sizes disagree with the block sequence")
 
-    fac = factor_by_classes(e, tuple(slots))
+    fac = _factor(e, classes, tuple(slots))
     g = benes.route_bijection(fac.pre)
     f = benes.route_bijection(fac.post)
     head = _unchecked(InSituProgram, a, f.assignments[:a.n])

@@ -40,12 +40,30 @@ No step builds a table or an index list.  On one 2-core machine
 (Python 3.11, best of 7) at 4096 indices, a 23-step coefficient trace
 took 8.9 ms as composed step images and 0.9 ms on planes, and
 `linear_mapping` 3.2 and 0.7 ms; a 23-step table trace took 7.2 and 6.9
-ms.  The two cuts:
+ms.  The cuts:
 - up to 256 indices, the suite and oracle sizes, the index trace stays:
   at 2^3 a 5-step table trace took 8 us there and 33 us on planes, and
   at 3^2 a 3-step one 5 and 25 us;
 - past s = 128 two residues no longer add in a byte, so the index trace
   stays at every size.
+
+A program with a table step past 256 indices at s <= 6 is traced
+backward instead (`_trace_lanes`): the composed mapping H grows from the
+last step to the first, H <- H o T_k, so a table step selects, by byte
+masks made with big-int adds, where the forward trace gathers, and the
+index lanes are read once, at the end.  Measured in-process (2 cores,
+Python 3.11.7, best of 15 or 20), forward planes to lanes: 6.4 to 0.8 ms
+on a 2^12 `benes` program, 1.5 to 0.7 ms at 5^5, 0.57 to 0.37 ms at 6^4
+and 162 to 18 ms at 2^16.  The cost of a lane step grows with the 2s - 1
+values of delta, so at 7^3 (0.13 to 0.16 ms), 8^3 and 11^3 the forward
+gather is faster, and s <= 6 is the bound at which lanes won at every
+size tried.
+
+Tables are `bytes` past 256 indices at s <= 256 (`_table_type`, the one
+place the form is picked), so a trace or a writer reads a table as one
+plane, and a 2^20 table takes 1 MiB instead of 8.  Up to 256 indices
+tables stay tuples: bytes at every build site there made six suite
+calls 4-5% slower.
 """
 
 from __future__ import annotations
@@ -69,6 +87,12 @@ _PLANE_MAX_S = 128
 # the value that was added
 _ORDER = sys.byteorder
 _LANE_FORMATS = {2: "H", 4: "I", 8: "Q"}
+# the largest s whose table values a table stores in a byte; past
+# _SMALL_INTS indices such tables are `bytes` (see the module docstring)
+_BYTE_S = 256
+# the largest s at which a program with a table step traces backward on
+# index lanes past _SMALL_INTS indices (see the module docstring)
+_LANE_MAX_S = 6
 _T = TypeVar("_T")
 
 
@@ -90,7 +114,12 @@ class SignatureNotGroupable(InSituError):
 
 @dataclass(frozen=True)
 class Alphabet:
-    """Alphabet size s >= 2 and arity n >= 1; the index space is [0, s^n)."""
+    """Alphabet size s >= 2 and arity n >= 1; the index space is [0, s^n).
+
+    `size`, the number of vectors s^n, is worked out once, at construction,
+    and kept in the instance outside the fields, so `==`, `hash` and
+    `repr` read s and n alone.
+    """
 
     s: int
     n: int
@@ -104,11 +133,7 @@ class Alphabet:
         # s >= 2, so n past the bit count overflows; check before s ** n is built
         if self.n > _MAX_INDEX_BITS or self.s ** self.n > 1 << _MAX_INDEX_BITS:
             raise OverflowError(f"index space {self.s}^{self.n} does not fit in 64 bits")
-
-    @property
-    def size(self) -> int:
-        """Number of vectors, s^n."""
-        return self.s ** self.n
+        object.__setattr__(self, "size", self.s ** self.n)
 
     def powers(self) -> tuple[int, ...]:
         """Place values (s^0, s^1, ..., s^(n-1)) of the n components."""
@@ -173,16 +198,25 @@ class Assignment:
 
     Exactly one payload is set.  `table` gives the new component value per
     current index; `coeffs` gives a linear form c_1*x_1 + ... + c_n*x_n
-    evaluated mod s.
+    evaluated mod s.  In a program a table is `bytes` past 256 indices at
+    s <= 256 and a tuple otherwise (`_table_type`).
     """
 
     target: int
-    table: tuple[int, ...] | None = None
+    table: Sequence[int] | None = None
     coeffs: tuple[int, ...] | None = None
 
 
-def assignment_table(assignment: Assignment, alphabet: Alphabet) -> tuple[int, ...]:
-    """Dense table of an assignment, materializing a linear payload if needed."""
+def _table_type(alphabet: Alphabet) -> type:
+    """The one type a table over `alphabet` is stored as: `bytes` past 256
+    indices while every value fits a byte, `tuple` otherwise.  Called on
+    a table of its own type it returns the table itself, not a copy."""
+    return bytes if alphabet.size > _SMALL_INTS and alphabet.s <= _BYTE_S else tuple
+
+
+def assignment_table(assignment: Assignment, alphabet: Alphabet) -> Sequence[int]:
+    """Dense table of an assignment, materializing a linear payload if needed;
+    a table's own, or a coefficient row's in its `_table_type`."""
     if assignment.table is not None:
         return assignment.table
     # digit recurrence: extend the table by one more significant component;
@@ -203,7 +237,7 @@ def assignment_table(assignment: Assignment, alphabet: Alphabet) -> tuple[int, .
             k = c * d % s
             blocks += pick(values[k:] + values[:k])
         tab = blocks
-    return tuple(tab)
+    return _table_type(alphabet)(tab)
 
 
 def step_images(tab: Sequence[int], target: int, alphabet: Alphabet) -> list[int]:
@@ -338,15 +372,78 @@ class _Planes:
             lanes = bytearray(size * w)
             lanes[low::w] = digits.to_bytes(size, _ORDER)
             total += int.from_bytes(lanes, _ORDER) * self.powers[start]
-        out = array(_LANE_FORMATS[w], total.to_bytes(size * w, _ORDER))
-        if _ORDER != sys.byteorder:
-            out.byteswap()
-        return out.tolist()
+        return _read_lanes(total.to_bytes(size * w, _ORDER), w)
+
+
+def _read_lanes(data: bytes, w: int) -> list[int]:
+    # the w-byte lanes of `data`, written in byte order _ORDER, as ints
+    out = array(_LANE_FORMATS[w], data)
+    if _ORDER != sys.byteorder:
+        out.byteswap()
+    return out.tolist()
+
+
+def _trace_lanes(program: InSituProgram) -> list[int]:
+    """The final index of every input, composed from the last step back to
+    the first: H <- H o T_k, so each step selects where a forward trace
+    would gather.
+
+    H is kept as byte planes, plane j holding byte j of H[v] for every v.
+    A table step sends v to v + delta(v) * s^(t-1), with delta(v) = tab[v]
+    - digit_t(v), so H o T_k at v is H at that index.  The plane 0x80 + tab
+    - digit_t, one big-int add and subtract, holds delta in every byte
+    lane, offset by 0x80; subtracting d from every lane then sets a lane's
+    high bit iff delta >= d, so two such thresholds give the byte mask of
+    the lanes whose delta is d, and each plane of H, shifted by d *
+    s^(t-1) bytes, is kept under it.  No lane leaves [0, 255] while 2(s - 1)
+    < 128.  A coefficient step enters as its table, the `_Planes.linear`
+    plane of the identity planes.  The lanes are read once, at the end."""
+    a = program.alphabet
+    s, size = a.s, a.size
+    trace = _Planes(a)
+    inputs = trace.identity()
+    digits = [int.from_bytes(plane, _ORDER) for plane in inputs]
+    ones = int.from_bytes(bytes((1,)) * size, _ORDER)
+    high = ones << 7
+    cuts = [(d + 1) * ones for d in range(1 - s, s - 1)]  # cuts[d + s - 1] is d + 1 per lane
+    count = ((size - 1).bit_length() + 7) // 8  # bytes of the largest index
+    planes = []
+    for j in range(count):
+        pw = 1 << 8 * j  # byte j of v steps every pw indices
+        run = b"".join(bytes((b,)) * pw for b in range(min(256, -(-size // pw))))
+        planes.append(int.from_bytes((run * -(-size // len(run)))[:size], _ORDER))
+    sign = 8 if _ORDER == "little" else -8  # bits that move a plane one index down
+    for asg in program.assignments[::-1]:
+        i = asg.target - 1
+        tab = trace.linear(inputs, asg.coeffs) if asg.table is None else asg.table
+        base = int.from_bytes(bytes(tab), _ORDER) + high - digits[i]
+        moved = [0] * count
+        over = high  # the lanes where delta >= 1 - s: all of them
+        for delta in range(1 - s, s):
+            at = over
+            over = (base - cuts[delta + s - 1]) & high if delta < s - 1 else 0
+            at ^= over  # the high bit of the lanes where delta is this one
+            if not at:
+                continue
+            mask = (at >> 7) * 255
+            shift = sign * delta * trace.powers[i]
+            for j, plane in enumerate(planes):
+                moved[j] |= (plane >> shift if shift >= 0 else plane << -shift) & mask
+        planes = moved
+    w = trace.width
+    lanes = bytearray(size * w)
+    for j, plane in enumerate(planes):
+        lanes[j if _ORDER == "little" else w - 1 - j::w] = plane.to_bytes(size, _ORDER)
+    return _read_lanes(lanes, w)
 
 
 @dataclass(frozen=True)
 class InSituProgram:
-    """A sequence of assignments over one shared alphabet."""
+    """A sequence of assignments over one shared alphabet.
+
+    The constructor checks every step and stores each table as the type
+    `_table_type` picks, whatever sequence of ints it was given.
+    """
 
     alphabet: Alphabet
     assignments: tuple[Assignment, ...]
@@ -354,19 +451,29 @@ class InSituProgram:
     def __post_init__(self) -> None:
         a = self.alphabet
         _check_ints([asg.target for asg in self.assignments], "target")
+        form = _table_type(a)
+        steps = []
         for pos, asg in enumerate(self.assignments):
             if not 1 <= asg.target <= a.n:
                 raise ValueError(f"assignment {pos}: target {asg.target} out of range [1, {a.n}]")
             if (asg.table is None) == (asg.coeffs is None):
                 raise ValueError(f"assignment {pos}: exactly one of table/coeffs must be set")
             if asg.table is not None:
-                if len(asg.table) != a.size:
+                tab = asg.table
+                if type(tab) not in (bytes, tuple, list, bytearray):
+                    tab = tuple(tab)  # bytes() would read an array's buffer, not its values
+                if len(tab) != a.size:
                     raise ValueError(f"assignment {pos}: table needs {a.size} entries")
-                _check_values(asg.table, a.s, pos, "table value")
+                _check_values(tab, a.s, pos, "table value")
+                tab = form(tab)
+                if tab is not asg.table:
+                    asg = Assignment(asg.target, table=tab)
             else:
                 if len(asg.coeffs) != a.n:
                     raise ValueError(f"assignment {pos}: coefficient row needs {a.n} entries")
                 _check_values(asg.coeffs, a.s, pos, "coefficient")
+            steps.append(asg)
+        object.__setattr__(self, "assignments", tuple(steps))
 
     def __len__(self) -> int:
         return len(self.assignments)
@@ -400,6 +507,12 @@ def _check_ints(values: Sequence[int], what: str) -> None:
 
 
 def _check_values(values: Sequence[int], s: int, pos: int, what: str) -> None:
+    if type(values) is bytes:
+        # every byte is an int; deleting the bytes below s leaves the others
+        if values.translate(None, bytes(range(min(s, 256)))):
+            bad = next(x for x in values if x >= s)
+            raise ValueError(f"assignment {pos}: {what} {bad} out of range [0, {s})")
+        return
     _check_ints(values, f"assignment {pos}: {what}")
     _check_range(values, s, f"assignment {pos}: {what}")
 
@@ -438,23 +551,29 @@ def execute(program: InSituProgram, vector: Sequence[int]) -> tuple[int, ...]:
 
 
 def execute_all(program: InSituProgram) -> Mapping:
-    """The mapping computed by the program, by running every input index."""
+    """The mapping computed by the program, by running every input index:
+    past 256 indices at s <= 128, backward on index lanes if a step is a
+    table and s <= 6, and forward on digit planes otherwise; up to 256
+    indices, and at s > 128, by composed step images (see the module
+    docstring)."""
     a = program.alphabet
-    if not _on_planes(a):
-        state = range(a.size)
+    if _on_planes(a):
+        if a.s <= _LANE_MAX_S and any(asg.table is not None for asg in program.assignments):
+            return _unchecked(Mapping, a, tuple(_trace_lanes(program)))
+        trace = _Planes(a)
+        planes = trace.identity()
         for asg in program.assignments:
-            trans = step_images(assignment_table(asg, a), asg.target, a)
-            state = itemgetter(*state)(trans)  # a tuple, since size >= 2
-        return _unchecked(Mapping, a, tuple(state))
-    trace = _Planes(a)
-    planes = trace.identity()
+            if asg.table is None:
+                plane = trace.linear(planes, asg.coeffs)
+            else:  # table values lie in [0, s), so they fit a byte
+                plane = bytes(itemgetter(*trace.indices(planes))(asg.table))
+            planes[asg.target - 1] = plane
+        return _unchecked(Mapping, a, tuple(trace.indices(planes)))
+    state = range(a.size)
     for asg in program.assignments:
-        if asg.table is None:
-            plane = trace.linear(planes, asg.coeffs)
-        else:  # table values lie in [0, s), so they fit a byte
-            plane = bytes(itemgetter(*trace.indices(planes))(asg.table))
-        planes[asg.target - 1] = plane
-    return _unchecked(Mapping, a, tuple(trace.indices(planes)))
+        trans = step_images(assignment_table(asg, a), asg.target, a)
+        state = itemgetter(*state)(trans)  # a tuple, since size >= 2
+    return _unchecked(Mapping, a, tuple(state))
 
 
 def concat(*programs: InSituProgram) -> InSituProgram:
@@ -499,7 +618,7 @@ def _compose_steps(first: Assignment, second: Assignment, alphabet: Alphabet) ->
         return Assignment(t, coeffs=combined)
     tab2 = assignment_table(second, alphabet)
     trans = step_images(assignment_table(first, alphabet), t, alphabet)
-    return Assignment(t, table=itemgetter(*trans)(tab2))
+    return Assignment(t, table=_table_type(alphabet)(itemgetter(*trans)(tab2)))
 
 
 def invert_program(program: InSituProgram) -> InSituProgram:
@@ -514,6 +633,7 @@ def invert_program(program: InSituProgram) -> InSituProgram:
     """
     a = program.alphabet
     s = a.s
+    form = _table_type(a)
     steps = []
     for asg in reversed(program.assignments):
         pw = s ** (asg.target - 1)
@@ -522,7 +642,7 @@ def invert_program(program: InSituProgram) -> InSituProgram:
             inv[w] = v // pw % s
         if None in inv:  # some slot got two preimages, so another got none
             raise NotBijective("program does not compute a bijection")
-        steps.append(Assignment(asg.target, table=tuple(inv)))
+        steps.append(Assignment(asg.target, table=form(inv)))
     return _unchecked(InSituProgram, a, tuple(steps))
 
 
@@ -603,5 +723,5 @@ def regroup(program: InSituProgram, group_size: int) -> InSituProgram:
     for reg, chunk in runs:
         shift = reg * group_size
         images = execute_all(_unchecked(InSituProgram, a, tuple(chunk))).images
-        steps.append(Assignment(reg + 1, table=tuple(w >> shift & mask for w in images)))
+        steps.append(Assignment(reg + 1, table=_table_type(wide)([w >> shift & mask for w in images])))
     return _unchecked(InSituProgram, wide, tuple(steps))

@@ -36,6 +36,7 @@ from .core import (
     InSituProgram,
     Mapping,
     _check_ints,
+    _table_type,
     _unchecked,
     concat,
     merge_adjacent,
@@ -89,16 +90,17 @@ def _sweep_program(alphabet: Alphabet, sources: Sequence[int], targets: Sequence
     point reaches keep the identity; two different digits asked of one
     entry raise an `InSituError` that names them."""
     s = alphabet.s
+    form = _table_type(alphabet)
     size = alphabet.size
     positions = sources
     steps = []
     for j in components:
         if steps:
-            # the points move by the stage before; one key more than the
-            # points keeps the result a tuple when there is a single point
-            before = steps[-1]
+            # the points move by the stage before, read off its list: one
+            # key more than the points keeps the result a tuple when there
+            # is a single point
             positions = itemgetter(0, *positions)(
-                step_images(before.table, before.target, alphabet))[1:]
+                step_images(tab, steps[-1].target, alphabet))[1:]
         pw = s ** (j - 1)
         run: list[int] = []  # digit j of the indices below pw * s
         for d in range(s):
@@ -113,7 +115,7 @@ def _sweep_program(alphabet: Alphabet, sources: Sequence[int], targets: Sequence
             else:
                 reached[p] = 1
                 tab[p] = d
-        steps.append(Assignment(j, table=tuple(tab)))
+        steps.append(Assignment(j, table=form(tab)))
     return _unchecked(InSituProgram, alphabet, tuple(steps))
 
 
@@ -163,8 +165,13 @@ def factor_by_classes(e: Mapping, slots: Sequence[int | None] | None = None) -> 
     entry t names the image whose class occupies run t, or None for an
     empty run.  Default: distinct images in ascending order, no empty runs.
     """
+    return _factor(e, preimage_classes(e), slots)
+
+
+def _factor(e: Mapping, classes: dict[int, list[int]],
+            slots: Sequence[int | None] | None) -> ClassFactorisation:
+    # factor_by_classes on the classes a caller has already found
     a = e.alphabet
-    classes = preimage_classes(e)
     if slots is None:
         slots = tuple(sorted(classes))
     else:

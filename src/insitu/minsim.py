@@ -8,8 +8,9 @@ vertex picks one outgoing edge per stage, namely the table value, so a
 program is its own routing and no second type holds one.
 
 `verify` drives every input through a program, table or coefficient
-steps alike, by `core.execute_all` (on digit planes past 256 indices at
-s <= 128, so a coefficient step builds no table), and reports whether the final stage realizes a given
+steps alike, by `core.execute_all` (past 256 indices at s <= 128 on byte
+planes, so a coefficient step builds no table, and backward on index
+lanes for a table program at s <= 6), and reports whether the final stage realizes a given
 mapping, whether the paths stay vertex disjoint, and the final images,
 so one trace serves both the verdict and the first mismatching index.
 Paths that meet at a vertex share every later vertex, so they are

@@ -37,7 +37,7 @@ MEMORY_CAP = 4 << 30  # bytes of address space for each child process
 MUTANTS = [
     ("invert_program returns each step unchanged",
      "src/insitu/core.py",
-     "        steps.append(Assignment(asg.target, table=tuple(inv)))",
+     "        steps.append(Assignment(asg.target, table=form(inv)))",
      "        steps.append(asg)",
      ["tests/test_core.py::test_invert_program_at_every_s"]),
     ("invert_program drops the unfilled-slot check",
@@ -165,6 +165,42 @@ MUTANTS = [
      "        self.room = 255 // (s - 1)",
      "        self.room = 255 // (s - 1) + 1",
      ["tests/test_kernel_reference.py::test_plane_sums_reduce_partway_through_a_row"]),
+    # a trace with a table step past 256 indices at s <= 6 composes
+    # backward on byte planes of index lanes, so these rows name the lane
+    # referee, which calls the lane trace directly
+    ("the lane trace's delta is off by one",
+     "src/insitu/core.py",
+     "    cuts = [(d + 1) * ones for d in range(1 - s, s - 1)]",
+     "    cuts = [d * ones for d in range(1 - s, s - 1)]",
+     ["tests/test_kernel_reference.py::test_lane_traces_match_the_gather_loop"]),
+    ("the lane trace shifts its planes the wrong way",
+     "src/insitu/core.py",
+     '    sign = 8 if _ORDER == "little" else -8',
+     '    sign = -8 if _ORDER == "little" else 8',
+     ["tests/test_kernel_reference.py::test_lane_traces_match_the_gather_loop",
+      "tests/test_kernel_reference.py::test_lane_traces_in_the_other_byte_order_match_the_gather_loop"]),
+    ("the lane trace composes the steps first to last",
+     "src/insitu/core.py",
+     "    for asg in program.assignments[::-1]:",
+     "    for asg in program.assignments:",
+     ["tests/test_kernel_reference.py::test_lane_traces_match_the_gather_loop",
+      "tests/test_kernel_reference.py::test_traces_match_the_gather_loop"]),
+    # a program over s <= 10 in the writer's layout is read by slices and
+    # written by translate; the tokenized reader and the joined names are
+    # the referees
+    ("the slice reader keeps a table value that no digit names",
+     "src/insitu/formats.py",
+     "        if 255 in table:",
+     "        if False:",
+     ["tests/test_parse_reference.py::test_tables_with_other_spellings_match_reference",
+      "tests/test_formats.py::test_digit_tables_are_read_by_slices_or_tokens_alike"]),
+    ("the translate writer drops the separator after the target",
+     "src/insitu/formats.py",
+     "            line[1::2] = tab.translate(_DIGITS)",
+     "            line[::2] = tab.translate(_DIGITS)",
+     ["tests/test_formats.py::test_writer_reproduces_the_joined_names[2-9]",
+      "tests/test_pinned_outputs.py::test_compiled_text_is_pinned"
+      "[bijection-2-12-benes-b3bc7c48ed9ea80d329bd556c340e822d833dcad7b1564655201f9f44b8912dd]"]),
     # a linear program holds its ring once, so each size check and the unit
     # test below is the only copy of its fact
     ("product skips its factor-size check",

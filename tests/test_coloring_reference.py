@@ -176,7 +176,7 @@ def _assert_routes_match(e, rev):
     # equal steps make equal program text, byte for byte
     for route, want in ((route_bijection, _reference_route(e)),
                         (route_bijection_reversed, _reference_route_reversed(e, rev))):
-        assert [(step.target, step.table) for step in route(e).assignments] == want
+        assert [(step.target, tuple(step.table)) for step in route(e).assignments] == want
 
 
 @pytest.mark.parametrize("n", [2, 3])

@@ -172,3 +172,56 @@ def test_program_header_alone_builds_no_name_table():
 def test_linear_coefficients_are_reduced():
     p = parse_program("linear 5 2 1\n1 7 -1\n")
     assert p.factors[0].coefficients == (2, 4)
+
+
+def _joined_text(p):
+    # the program text as the writer wrote it before any table was bytes:
+    # each value's decimal name, one space apart
+    a = p.alphabet
+    lines = [f"program {a.s} {a.n} {len(p)}"]
+    lines += [f"{asg.target} " + " ".join(str(v) for v in asg.table) for asg in p.assignments]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("s, n", [(2, 9), (3, 6), (10, 3), (11, 3), (16, 3), (300, 1)])
+def test_writer_reproduces_the_joined_names(s, n):
+    # past 256 indices a table over s <= 10 is written by one translate to
+    # ASCII digits, over 10 < s <= 256 (two- and three-digit names) by
+    # joining the names of its bytes, and over s = 300 as a tuple; each
+    # must give the text the joined names give, and read back to itself
+    a = Alphabet(s, n)
+    rng = SplitMix64(40 + s)
+    p = InSituProgram(a, tuple(Assignment(1 + k % n, table=[rng.below(s) for _ in range(a.size)])
+                               for k in range(3)))
+    assert {type(asg.table) for asg in p.assignments} == {bytes if s <= 256 else tuple}
+    text = format_program(p)
+    assert text == _joined_text(p)
+    assert parse_program(text) == p
+
+
+def test_digit_tables_are_read_by_slices_or_tokens_alike():
+    # the writer's layout over s <= 10 is read by slices; the same program
+    # laid out one token per line, with a value spelled 01, or with CRLF
+    # line ends goes through the tokenized reader, and every reading gives
+    # the same program, bytes tables and all
+    a = Alphabet(3, 6)
+    rng = SplitMix64(41)
+    p = InSituProgram(a, tuple(Assignment(1 + k % 6, table=[rng.below(3) for _ in range(a.size)])
+                               for k in range(4)))
+    text = format_program(p)
+    tokens = text.split()
+    spellings = ["\n".join(tokens), text.replace("\n", "\r\n"),
+                 " ".join(tokens[:6] + ["0" + tokens[6]] + tokens[7:])]
+    for other in [text] + spellings:
+        back = parse_program(other)
+        assert back == p and all(type(asg.table) is bytes for asg in back.assignments)
+    # a table value past s, or a bad token, fails as the tokenized reader fails
+    bad = text.split("\n")
+    bad[2] = bad[2][:-1] + "7"
+    with pytest.raises(ParseError) as exc:
+        parse_program("\n".join(bad))
+    assert str(exc.value) == "line 5: assignment 1: table value 7 out of range [0, 3)"
+    bad[2] = bad[2][:-1] + "x"
+    with pytest.raises(ParseError) as exc:
+        parse_program("\n".join(bad))
+    assert str(exc.value) == "line 3: expected assignment 2 value, got 'x'"

@@ -5,8 +5,12 @@ with `operator.itemgetter` and `map(operator.add, ...)` at every size.
 Step images do the same past 256 indices and keep their per-entry
 comprehension up to 256.  Traces and linear mappings past 256 indices at
 s <= 128 run on digit planes: `bytes.translate` and big-int sums for
-coefficient steps, a gather by index lanes for table steps; up to 256
-indices, and at s > 128, they compose step images.  `_digit_runs`
+coefficient steps, a gather by index lanes for table steps; a trace with
+a table step at s <= 6 runs backward instead, selecting on byte planes
+of index lanes, and is checked at every s up to 7, just past 256
+indices, at 2^17 (four-byte lanes), on the empty program and in the
+other byte order; up to 256 indices, and at s > 128, traces compose
+step images.  `_digit_runs`
 places its runs by slices, `component_permutation` builds its images by
 a digit recurrence and `is_suffix_compatible` halves the images level
 by level.  The references below are the per-entry comprehensions and
@@ -155,10 +159,11 @@ def _rows(a, rng):
     return rows + ROWS.get((a.s, a.n), [])
 
 
-def _program(a, rng, kind):
-    # coefficient steps, table steps or both in turn, on seeded targets
+def _program(a, rng, kind, count=None):
+    # coefficient steps, table steps or both in turn, on seeded targets;
+    # 2n + 1 of them unless `count` says otherwise
     steps = []
-    for i in range(2 * a.n + 1):
+    for i in range(2 * a.n + 1 if count is None else count):
         target = 1 + rng.below(a.n)
         if kind == "coeffs" or kind == "mixed" and i % 2:
             steps.append(Assignment(target, coeffs=tuple(rng.below(a.s) for _ in range(a.n))))
@@ -191,6 +196,19 @@ def _trace_mismatches(shapes):
             except (IndexError, ValueError):  # a step sent some index out of range
                 images = None
             if images != _ref_execute_all(program):
+                bad.append((s, n, kind))
+    return bad
+
+
+def _lane_mismatches(shapes, count=None):
+    # the backward lane trace itself, whichever kernel execute_all picks
+    bad = []
+    for s, n in shapes:
+        a = Alphabet(s, n)
+        rng = SplitMix64(9000 * s + n)
+        for kind in KINDS:
+            program = _program(a, rng, kind, count)
+            if tuple(core._trace_lanes(program)) != _ref_execute_all(program):
                 bad.append((s, n, kind))
     return bad
 
@@ -303,7 +321,7 @@ def test_coefficient_tables_match_the_digit_recurrence():
         a = Alphabet(s, n)
         for row in _rows(a, SplitMix64(3000 * s + n)):
             got = assignment_table(Assignment(1, coeffs=row), a)
-            assert got == _ref_table(row, a), (s, n, row)
+            assert tuple(got) == _ref_table(row, a), (s, n, row)
 
 
 def test_linear_mappings_match_the_accumulation():
@@ -344,6 +362,46 @@ def test_traces_in_the_other_byte_order_match_the_gather_loop():
     assert traces == [] and linear == []
 
 
+# the first shape past 256 indices at each s up to one past the bound of
+# the backward lane trace, where execute_all stops calling it
+LANE_SHAPES = [(2, 9), (3, 6), (4, 5), (5, 4), (6, 4), (7, 3)]
+
+
+def test_lane_traces_match_the_gather_loop():
+    assert max(s for s, _ in LANE_SHAPES) == core._LANE_MAX_S + 1
+    assert all(s ** n > core._SMALL_INTS >= s ** (n - 1) for s, n in LANE_SHAPES)
+    assert _lane_mismatches(LANE_SHAPES) == []
+
+
+def test_lane_traces_in_four_byte_lanes_match_the_gather_loop():
+    # 2^17 indices need three bytes each, so the lanes are four bytes wide
+    # and one byte of each stays zero; four steps keep the reference short
+    assert core._Planes(Alphabet(2, 17)).width == 4
+    assert _lane_mismatches([(2, 17)], count=4) == []
+
+
+def test_the_empty_program_traces_to_the_identity():
+    for s, n in LANE_SHAPES + [(2, 17)]:
+        a = Alphabet(s, n)
+        empty = InSituProgram(a, ())
+        assert core._trace_lanes(empty) == list(range(a.size)), (s, n)
+        assert execute_all(empty).images == tuple(range(a.size)), (s, n)
+
+
+def test_lane_traces_in_the_other_byte_order_match_the_gather_loop():
+    # set to the other byte order, a plane moves the other way as a big int
+    # and its bytes fill the other end of each lane, which is swapped as it
+    # is read back
+    real = core._ORDER
+    core._ORDER = "big" if sys.byteorder == "little" else "little"
+    try:
+        bad = _lane_mismatches(LANE_SHAPES[:3]) + _lane_mismatches([(2, 17)], count=4)
+        empty = core._trace_lanes(InSituProgram(Alphabet(2, 17), ()))
+    finally:
+        core._ORDER = real
+    assert bad == [] and empty == list(range(1 << 17))
+
+
 def test_plane_sums_reduce_partway_through_a_row():
     # at s = 127 and 128 a byte lane holds the sum of two residues but not
     # of three, so a row of three nonzero coefficients is reduced partway
@@ -367,19 +425,25 @@ def test_a_base_off_by_one_place_value_fails():
     # the zeroed index of the last entry raised by one place value: the
     # step images of every shape past 256 indices must differ, and so must
     # the traces that still compose them there, at s > 128.  Then the index
-    # read off the last lane raised by one: every trace on digit planes,
-    # past 256 indices at s <= 128, must differ
-    real_runs, real_indices = core._digit_runs, core._Planes.indices
+    # read off the last lane raised by one, first in `_Planes.indices`
+    # alone: every forward trace on digit planes past 256 indices, of
+    # coefficient programs at s <= 128 and of every program at 6 < s <=
+    # 128, must differ; then in `_read_lanes`, which the backward lane
+    # trace of table programs at s <= 6 reads too: every trace past 256
+    # indices at s <= 128 must differ
+    real_runs, real_indices, real_lanes = core._digit_runs, core._Planes.indices, core._read_lanes
 
     def shifted(pw, s, size, stride):
         out = real_runs(pw, s, size, stride)
         out[-1] += pw
         return out
 
-    def lane_shifted(self, planes):
-        out = real_indices(self, planes)
-        out[-1] += 1
-        return out
+    def lane_shifted(read):
+        def wrapped(*args):
+            out = read(*args)
+            out[-1] += 1
+            return out
+        return wrapped
 
     large = [(s, n) for s, n in SHAPES if s ** n > core._SMALL_INTS]
     core._digit_runs = shifted
@@ -390,11 +454,18 @@ def test_a_base_off_by_one_place_value_fails():
     assert sorted({(s, n) for s, n, _ in steps}) == sorted(large)
     assert len(steps) == sum(n for _, n in large)
     assert traces == [(s, n, kind) for s, n in large if s > core._PLANE_MAX_S for kind in KINDS]
-    core._Planes.indices = lane_shifted
+    core._Planes.indices = lane_shifted(real_indices)
     try:
         traces = _trace_mismatches(SHAPES)
     finally:
         core._Planes.indices = real_indices
+    assert traces == [(s, n, kind) for s, n in large if s <= core._PLANE_MAX_S for kind in KINDS
+                      if kind == "coeffs" or s > core._LANE_MAX_S]
+    core._read_lanes = lane_shifted(real_lanes)
+    try:
+        traces = _trace_mismatches(SHAPES)
+    finally:
+        core._read_lanes = real_lanes
     assert traces == [(s, n, kind) for s, n in large if s <= core._PLANE_MAX_S for kind in KINDS]
 
 
