@@ -15,9 +15,11 @@ Colorings come from Euler partitions (Gabow 1976).  Pairing the edges at
 every vertex of a d-regular graph, d even, closes them into alternating
 cycles; alternate edges around each cycle form two (d/2)-regular halves,
 which split again down to degree 2, whose cycles alternate two colors.
-An odd degree d > 1 first takes one perfect matching, found by Kuhn's
-augmenting-path search, as a color of its own.  So s = 2^k needs no
-matching, and s = 3, 5, 6, 7 need 1, 1, 2, 3 per level.
+An odd degree d > 1 first takes one perfect matching as a color of its
+own.  A greedy pass matches each left vertex at its first free right
+vertex, and only a vertex left without one runs Kuhn's augmenting-path
+search, with the one-step lookahead of Pothen and Fan (1990).  So s = 2^k
+needs no matching, and s = 3, 5, 6, 7 need 1, 1, 2, 3 per level.
 
 At s = 2 a level graph is 2-regular and both pairings are forced, as in
 the looping algorithm: at its left end edge p meets p ^ pw, where pw is
@@ -173,37 +175,49 @@ def _euler_two_color(partner_left, partner_right, colors) -> None:
 
 def _perfect_matching(left, right, order, adj_left) -> list[int]:
     # one edge per right vertex; a regular bipartite multigraph has a
-    # perfect matching (Hall).  Kuhn's depth-first search for an
-    # augmenting path runs on a stack: path[d] is the edge tried from the
-    # left vertex at depth d, and seen[r] == root marks the right
-    # vertices visited from this root
+    # perfect matching (Hall).  Each root, in order, takes its first edge
+    # to a free right vertex.  A root without one runs Kuhn's depth-first
+    # search for an augmenting path with the lookahead of Pothen and Fan:
+    # entering the mate of a right vertex, it takes that mate's first edge
+    # to a free right vertex and descends only when there is none.  A
+    # matched right vertex stays matched, so every right vertex the search
+    # reaches is matched.  The search runs on a stack: path[d] is the edge
+    # tried from the left vertex at depth d, and seen[r] == root marks the
+    # right vertices visited from this root
     match_right = [-1] * order
     seen = [-1] * order
     for root in range(order):
-        eid = adj_left[root][0]
-        if match_right[right[eid]] < 0:
-            match_right[right[eid]] = eid
-            continue
-        frames = [iter(adj_left[root])]
-        path = []
-        while frames:
-            for eid in frames[-1]:
-                if seen[right[eid]] != root:
-                    break
-            else:
-                frames.pop()
-                del path[-1:]
-                continue
-            r = right[eid]
-            seen[r] = root
-            path.append(eid)
-            if match_right[r] < 0:
-                for eid in path:
-                    match_right[right[eid]] = eid
+        for eid in adj_left[root]:
+            if match_right[right[eid]] < 0:
+                match_right[right[eid]] = eid
                 break
-            frames.append(iter(adj_left[left[match_right[r]]]))
         else:
-            raise AssertionError("regular bipartite multigraph lost its matching")
+            frames = [iter(adj_left[root])]
+            path = []
+            while frames:
+                for eid in frames[-1]:
+                    if seen[right[eid]] != root:
+                        break
+                else:
+                    frames.pop()
+                    del path[-1:]
+                    continue
+                r = right[eid]
+                seen[r] = root
+                path.append(eid)
+                mate = adj_left[left[match_right[r]]]
+                for eid in mate:
+                    if match_right[right[eid]] < 0:
+                        path.append(eid)
+                        for eid in path:
+                            match_right[right[eid]] = eid
+                        break
+                else:
+                    frames.append(iter(mate))
+                    continue
+                break
+            else:
+                raise AssertionError("regular bipartite multigraph lost its matching")
     return match_right
 
 

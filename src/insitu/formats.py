@@ -52,6 +52,8 @@ from .linmod import AssignmentMatrix, LinearProgram, MatrixMod, ModRing
 # the ASCII bytes that str.split() breaks at, and a token between them
 _SPACE = b" \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f"
 _TOKEN = re.compile(rb"[ \t\n\r\x0b\x0c\x1c-\x1f]*([^ \t\n\r\x0b\x0c\x1c-\x1f]+)")
+# the same token in a str, for the header before the text is copied
+_TEXT_TOKEN = re.compile(_TOKEN.pattern.decode("ascii"))
 # the largest s whose table values are one ASCII digit each
 _DIGIT_S = 10
 # per s: the ASCII digit of each value below s goes to that value, any
@@ -241,14 +243,14 @@ def parse_program(text: str) -> InSituProgram | LinearProgram:
 def _digit_program(text: str) -> InSituProgram | None:
     # a table program over s <= 10 in the writer's layout, read by slices
     # and translate; None sends the text to the tokenized reader, which
-    # reads it, or refuses it with its message and line
+    # reads it, or refuses it with its message and line.  The header
+    # decides before the text is copied to bytes
     if not text.isascii():
         return None
-    data = text.encode("ascii")
     head = []
     pos = 0
     for _ in range(4):
-        tok = _TOKEN.match(data, pos)
+        tok = _TEXT_TOKEN.match(text, pos)
         if tok is None:
             return None
         head.append(tok.group(1))
@@ -258,8 +260,9 @@ def _digit_program(text: str) -> InSituProgram | None:
         count = int(head[3])
     except (ValueError, OverflowError):
         return None
-    if head[0] != b"program" or a.s > _DIGIT_S or count < 0:
+    if head[0] != "program" or a.s > _DIGIT_S or count < 0:
         return None
+    data = text.encode("ascii")
     span = 2 * a.size - 1  # the table's digits and the whitespace bytes between them
     steps = []
     for _ in range(count):

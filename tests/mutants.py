@@ -104,6 +104,26 @@ MUTANTS = [
      ["tests/test_coloring_reference.py::test_boolean_routes_match_reference_on_every_bijection[3]",
       "tests/test_benes.py::test_route_random[2-3-11-200]",
       "tests/test_benes.py::test_level_graphs_are_regular"]),
+    # the matching is refereed on its own: a wrong one leaves the coloring
+    # a non-regular remainder to split, which may never end
+    ("the greedy pass takes a root's first edge even to a matched right vertex",
+     "src/insitu/benes.py",
+     "        for eid in adj_left[root]:\n            if match_right[right[eid]] < 0:",
+     "        for eid in adj_left[root]:\n            if True:",
+     ["tests/test_benes.py::test_perfect_matching_of_regular_multigraphs[3]",
+      "tests/test_benes.py::test_perfect_matching_along_a_long_chain"]),
+    ("the lookahead augments without its last edge",
+     "src/insitu/benes.py",
+     "                        path.append(eid)\n",
+     "",
+     ["tests/test_benes.py::test_perfect_matching_of_regular_multigraphs[5]",
+      "tests/test_benes.py::test_perfect_matching_along_a_long_chain"]),
+    ("the lookahead takes a matched right vertex",
+     "src/insitu/benes.py",
+     "                    if match_right[right[eid]] < 0:",
+     "                    if True:",
+     ["tests/test_benes.py::test_perfect_matching_of_regular_multigraphs[7]",
+      "tests/test_benes.py::test_perfect_matching_along_a_long_chain"]),
     # oracle.method_signature is the one spelling of each method's shape
     ("general5's reversed butterfly keeps its first stage at the junction",
      "src/insitu/oracle.py",

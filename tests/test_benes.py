@@ -127,6 +127,48 @@ def test_matchings_per_level_graph(monkeypatch, s, calls):
     assert len(seen) == 2 * calls
 
 
+def checked_matching(left, right, order):
+    # the matching of edges eid = (left[eid], right[eid]): one edge per
+    # right vertex, which really ends there, and every left vertex at the
+    # other end of exactly one of them
+    adj_left = [[] for _ in range(order)]
+    for eid, l in enumerate(left):
+        adj_left[l].append(eid)
+    match_right = benes._perfect_matching(left, right, order, adj_left)
+    assert len(match_right) == order
+    for r, eid in enumerate(match_right):
+        assert 0 <= eid < len(left)
+        assert right[eid] == r
+    assert sorted(left[eid] for eid in match_right) == list(range(order))
+    return match_right
+
+
+@pytest.mark.parametrize("s", [1, 3, 5, 7, 9])
+def test_perfect_matching_of_regular_multigraphs(s):
+    # the matching on its own, not through a coloring: each graph is the
+    # disjoint union of up to three s-regular blocks, each a union of s
+    # random perfect matchings (parallel edges), with vertices relabeled
+    # on each side and edge ids shuffled
+    rng = SplitMix64(200 + s)
+    for order in range(1, 61):
+        cuts = sorted({0, order} | {rng.below(order) for _ in range(2)})
+        lefts, rights = _shuffled(range(order), rng), _shuffled(range(order), rng)
+        edges = [(lefts[lo + i], rights[lo + p])
+                 for lo, hi in zip(cuts, cuts[1:]) for _ in range(s)
+                 for i, p in enumerate(_shuffled(range(hi - lo), rng))]
+        checked_matching(*zip(*_shuffled(edges, rng)), order)
+
+
+def test_perfect_matching_along_a_long_chain():
+    # left v < N - 1 has edges to right v and v + 1, and left N - 1 one
+    # edge to right 0, so every left vertex but the last takes right v at
+    # once; the last one's only augmenting path runs through all the
+    # others to right N - 1, far deeper than the recursion limit
+    order = 5000
+    edges = [(v, v + dv) for v in range(order - 1) for dv in (0, 1)] + [(order - 1, 0)]
+    assert checked_matching(*zip(*edges), order)[0] == len(edges) - 1
+
+
 def test_level_graphs_are_regular(monkeypatch):
     # the compilers hand their level graphs to the colorer unchecked, which
     # terminates only on regular graphs; each level graph is s-regular

@@ -340,7 +340,8 @@ def test_usage_errors(tmp_path, capsys):
 
 
 def test_compile_benes_past_recursion_depth(tmp_path, capsys):
-    # 3^9 points: Kuhn's augmenting paths run longer than the recursion limit
+    # 3^9 points: the matching's augmenting paths, lookahead and all, run
+    # longer than the recursion limit (3674 edges on this seed)
     src = tmp_path / "in.map"
     assert main(["random", "bijection", "--s", "3", "--n", "9", "--seed", "1",
                  "-o", str(src)]) == EXIT_OK

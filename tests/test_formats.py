@@ -140,6 +140,10 @@ def test_program_parse_errors():
     with pytest.raises(ParseError) as exc:
         parse_program("")
     assert exc.value.line == 1
+    # a header short of its count: "10" is one token, not n = 1 and m = 0
+    with pytest.raises(ParseError) as exc:
+        parse_program("program 2 10")
+    assert str(exc.value) == "line 1: unexpected end of input, expected assignment count m"
 
 
 def test_negative_counts_are_parse_errors():

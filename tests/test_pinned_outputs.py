@@ -39,13 +39,13 @@ PINS = [
     ("bijection", 2, 12, "benes-reversed",
      "e5f410a214d240283e51506c096f39be8ea0bab00637cf05d71c53f10348e800"),
     ("bijection", 3, 4, "benes",
-     "8fb789625b4a6f8d9758282461f379e981db485a5c60a1bc51105c700e7cb59c"),
+     "5a866ca20ae9d83136039349614bc56a176720f49892c2579f2c34340501f166"),
     ("bijection", 3, 4, "benes-reversed",
-     "c814a7e72cd5acc3956c50a2ebb1137c4fe55a2d8291bbe85b7bfb9deb44e239"),
+     "c854c1c7cf74190e4db50dd1eec6a786af1735d5b2b05227eded3ef0dea4dbaf"),
     ("bijection", 3, 4, "general5",
-     "9ee42e51dc30f4d4d09be04edb2359dc65edfaabf495b425f8877022b0492a04"),
+     "bd1acf2506789deeb71acca3e6fde724a36f2602f4ca513b5a160007a801fa8c"),
     ("bijection", 3, 4, "general4-sorted",
-     "3c0dfc69aced881283fd8288a8d7a073689da4f9c660cc02a9ee22b740a5c50d"),
+     "354571ffce0c9b382171859904ec43f6836be36fe5e40408c7ffe29e3079872d"),
     ("bijection", 4, 3, "benes",
      "8dfa2d1a83f99ae31dba0614d0197f4b5b3458beaf528df556adb87f1ad0e35b"),
     ("bijection", 4, 3, "benes-reversed",
@@ -55,6 +55,40 @@ PINS = [
     ("bijection", 4, 3, "general4-sorted",
      "f5a234bcaaba4048ffa071b5032faeec046706e4f9b5970674e05a0a5975a111"),
     ("bijection", 5, 3, "benes",
+     "c6b4f451a6c31acc4e37c32ac3cf4539163c107ab794f1b4afc2f9e6d0d8aa58"),
+    ("bijection", 5, 3, "benes-reversed",
+     "45c3083b23b0c62e74c17812189e333e9683e6112bed48a4df9baaedf576117a"),
+    ("bijection", 5, 3, "general5",
+     "910ffb3278a5d8e3e7352126e6d4922e4f3d6f05a6dc1b3d2d8f6f88253227a0"),
+    ("bijection", 5, 3, "general4-sorted",
+     "bc542daa1fc516f1f31bcf9b296fbcaa875fa8e6602962f4f19cfa7218298126"),
+    ("mapping", 2, 5, "general5",
+     "aaf68769374d174fe2197de768cbebd78a72ec556cb17869bc39e4443de1b034"),
+    ("mapping", 2, 5, "general4-sorted",
+     "658990a169d692e904204baca2ac648fc6a9b123820345c7aa69819dfe2c6a27"),
+    ("mapping", 2, 5, "general4-flex",
+     "9d5ab30a170614a8e8b8dfb7afacb1a1e715b80f182b11356e359e08893019db"),
+    ("mapping", 3, 3, "general5",
+     "824b6643bad93a111c468ea02d78964c3f688237408c5e6f23842179c42c07ed"),
+    ("mapping", 3, 3, "general4-sorted",
+     "0c287971c2e0280b3694ea5b8cba8c00101d69461b26cc3ca63ec3e733b3686d"),
+]
+
+
+# The odd-s inputs above as compiled when an odd degree took its perfect
+# matching by Kuhn's search without the greedy pass and the lookahead.
+# With that search put back (`_kuhn_reference`, below), all else in the
+# compilers must give the same bytes
+KUHN_PINS = [
+    ("bijection", 3, 4, "benes",
+     "8fb789625b4a6f8d9758282461f379e981db485a5c60a1bc51105c700e7cb59c"),
+    ("bijection", 3, 4, "benes-reversed",
+     "c814a7e72cd5acc3956c50a2ebb1137c4fe55a2d8291bbe85b7bfb9deb44e239"),
+    ("bijection", 3, 4, "general5",
+     "9ee42e51dc30f4d4d09be04edb2359dc65edfaabf495b425f8877022b0492a04"),
+    ("bijection", 3, 4, "general4-sorted",
+     "3c0dfc69aced881283fd8288a8d7a073689da4f9c660cc02a9ee22b740a5c50d"),
+    ("bijection", 5, 3, "benes",
      "9dc2ef3ef156c7ce6cb2f2e08bcb7e20efab07a72c3ef5e71f2cb682dcf6068e"),
     ("bijection", 5, 3, "benes-reversed",
      "d42f9b82b1ddcb2490093cb60af465a4743ebf9d650bb0ebd74d02f11e141938"),
@@ -62,12 +96,6 @@ PINS = [
      "45ad408bf7e0cfe90342e6ffe7d3d7308eba7f72bcd26bc1f2a24105b9762ad5"),
     ("bijection", 5, 3, "general4-sorted",
      "bfe85647945d0bfe84608b578c684c77ccb806ffbc871b90bbb549ea7702c3ce"),
-    ("mapping", 2, 5, "general5",
-     "aaf68769374d174fe2197de768cbebd78a72ec556cb17869bc39e4443de1b034"),
-    ("mapping", 2, 5, "general4-sorted",
-     "658990a169d692e904204baca2ac648fc6a9b123820345c7aa69819dfe2c6a27"),
-    ("mapping", 2, 5, "general4-flex",
-     "9d5ab30a170614a8e8b8dfb7afacb1a1e715b80f182b11356e359e08893019db"),
     ("mapping", 3, 3, "general5",
      "e53307cbf1bae007d4b33afc60beee2dd16e95a6bc62b8c18f00db081bfe47aa"),
     ("mapping", 3, 3, "general4-sorted",
@@ -110,6 +138,41 @@ PEELED_PINS = [
 ]
 
 
+def _kuhn_reference(left, right, order, adj_left):
+    # the package's search before its greedy pass and lookahead: a root
+    # whose first edge ends at a matched right vertex runs Kuhn's
+    # depth-first search, which augments at the first free right vertex
+    # it reaches and otherwise descends to that vertex's mate
+    match_right = [-1] * order
+    seen = [-1] * order
+    for root in range(order):
+        eid = adj_left[root][0]
+        if match_right[right[eid]] < 0:
+            match_right[right[eid]] = eid
+            continue
+        frames = [iter(adj_left[root])]
+        path = []
+        while frames:
+            for eid in frames[-1]:
+                if seen[right[eid]] != root:
+                    break
+            else:
+                frames.pop()
+                del path[-1:]
+                continue
+            r = right[eid]
+            seen[r] = root
+            path.append(eid)
+            if match_right[r] < 0:
+                for eid in path:
+                    match_right[right[eid]] = eid
+                break
+            frames.append(iter(adj_left[left[match_right[r]]]))
+        else:
+            raise AssertionError("regular bipartite multigraph lost its matching")
+    return match_right
+
+
 def _peel_matchings(s, order, left, right, colors):
     # color c is the perfect matching that Kuhn's search finds among the
     # edges left uncolored by colors 0..c-1
@@ -117,15 +180,17 @@ def _peel_matchings(s, order, left, right, colors):
     for eid, l in enumerate(left):
         adj_left[l].append(eid)
     for color in range(s):
-        for eid in benes._perfect_matching(left, right, order, adj_left):
+        for eid in _kuhn_reference(left, right, order, adj_left):
             colors[eid] = color
         adj_left = [[eid for eid in adj if colors[eid] < 0] for adj in adj_left]
 
 
-@pytest.mark.parametrize("kind,s,n,compiler,digest", PINS + PEELED_PINS)
+@pytest.mark.parametrize("kind,s,n,compiler,digest", PINS + PEELED_PINS + KUHN_PINS)
 def test_compiled_text_is_pinned(kind, s, n, compiler, digest, monkeypatch):
     if (kind, s, n, compiler, digest) in PEELED_PINS:
         monkeypatch.setattr(benes, "_euler_partition", _peel_matchings)
+    if (kind, s, n, compiler, digest) in KUHN_PINS:
+        monkeypatch.setattr(benes, "_perfect_matching", _kuhn_reference)
     draw = random_bijection if kind == "bijection" else random_mapping
     e = draw(Alphabet(s, n), SplitMix64(7))
     text = format_program(COMPILE[compiler](e))
@@ -187,7 +252,7 @@ DOT_PINS = [
     ("2 2\n2 0 3 1\n", "benes", "index",
      "1b08afe58b7e79131533420b54d80b8293a513dfe01a99ff2bb90bc1fde9766c"),
     ("3 2\n4 0 7 2 8 1 5 3 6\n", "benes", "bits",
-     "26b8aeb0a704a3cb4058453dea560d7dd0ef362c88e50ed71d44cffa0c259115"),
+     "7e3e7f27534de0ce2515003d821d866c2e3c09f2fc89187106d3b85df057f512"),
     ("2 3\n3 3 0 5 7 1 1 6\n", "general4-flex", "index",
      "4039e1be7310cdee8d5395519da18c52b160a9759ebafb88483cfacedadc78c6"),
     ("6 2\n1 2\n3 5\n", "linear", "index",
@@ -205,3 +270,11 @@ def test_dot_text_is_pinned(text, method, labels, digest, tmp_path):
     assert main(["compile", str(src), "--method", method, "--dot", str(dot),
                  "--dot-labels", labels, "-o", str(tmp_path / "out.prog")]) == EXIT_OK
     assert hashlib.sha256(dot.read_bytes()).hexdigest() == digest
+
+
+def test_dot_text_under_kuhn_reference(tmp_path, monkeypatch):
+    # the 3^2 DOT pin as drawn before the greedy pass and the lookahead
+    monkeypatch.setattr(benes, "_perfect_matching", _kuhn_reference)
+    text, method, labels, _ = DOT_PINS[1]
+    test_dot_text_is_pinned(text, method, labels,
+                            "26b8aeb0a704a3cb4058453dea560d7dd0ef362c88e50ed71d44cffa0c259115", tmp_path)
